@@ -78,67 +78,47 @@ def _fmt(x):
     return f"{x:.12g}"
 
 
-def _sweep_closed_forms(scheme, value, kind):
-    """Closed-form (delta, Delta) for a sweep point, or None where no
-    closed form exists for the requested kind (diamond)."""
-    if scheme == "optimal":
-        gamma = value
-        delta = 0.5 * (1.0 - gamma)
-        base = 0.5 * (1.0 - np.sqrt(1.0 - gamma**2))
-        flat = False
-    elif scheme == "diagonal":
-        b = value
-        delta = b * b
-        base = 0.5 * abs(1.0 - 2.0 * b * np.sqrt(1.0 - b * b))
-        flat = False
-    elif scheme == "cloner":
-        p = schemes.ClonerParams.from_a2(value)
-        delta = 0.5 * p.a2**2
-        base = 0.5 * p.a1**2
-        flat = True
-    else:
-        p = schemes.SwapParams(value)
-        delta = 0.5 * (1.0 - p.a1**2)
-        base = 0.5 * p.a1**2
-        flat = True
-
-    if kind is MeasureKind.WORST_TRACE or kind is MeasureKind.WORST_INFIDELITY:
-        Delta = base
-    elif kind is MeasureKind.WORST_HS:
-        Delta = base / HS_TO_TRACE_NORM_SCALE
-    elif kind is MeasureKind.AVG_TRACE:
-        # Replacement channels disturb every pure state equally; diagonal
-        # channels scale with |sin theta|, whose surface average is pi/4.
-        Delta = base if flat else base * np.pi / 4.0
-    else:
-        return delta, None
-    return delta, Delta
-
-
 def _sweep_point(scheme, value, kind, strategy):
+    """One sweep row.  The closed-form Delta is None where the kind has no
+    closed form (diamond)."""
     if scheme == "optimal":
         ins = make_optimal_instrument(OptimalFamilyParams(value))
-        povm, channel = povm_of(ins), ins
-        params = {"gamma": value}
+        povm, channel, params = povm_of(ins), ins, {"gamma": value}
+        delta = 0.5 * (1.0 - value)
+        base = 0.5 * (1.0 - np.sqrt(1.0 - value**2))
     elif scheme == "diagonal":
         ins = make_diagonal_instrument(DiagonalFamilyParams(value, value))
-        povm, channel = povm_of(ins), ins
-        params = {"b": value}
+        povm, channel, params = povm_of(ins), ins, {"b": value}
+        delta = value * value
+        base = 0.5 * abs(1.0 - 2.0 * value * np.sqrt(1.0 - value * value))
     elif scheme == "cloner":
         p = schemes.ClonerParams.from_a2(value)
         povm = schemes.cloner_induced_povm(p)
         channel = schemes.cloner_system_channel_spec(p)
         params = {"a2": value}
+        pt = schemes.cloner_tradeoff_point(p)
+        delta, base = pt.delta, pt.Delta
     else:
         p = schemes.SwapParams(value)
         povm = schemes.swap_induced_povm(p)
         channel = schemes.swap_system_channel_spec(p)
         params = {"t": value}
+        pt = schemes.swap_tradeoff_point(p)
+        delta, base = pt.delta, pt.Delta
 
-    delta_c, Delta_c = _sweep_closed_forms(scheme, value, kind)
+    if kind is MeasureKind.WORST_TRACE or kind is MeasureKind.WORST_INFIDELITY:
+        Delta_c = base
+    elif kind is MeasureKind.WORST_HS:
+        Delta_c = base / HS_TO_TRACE_NORM_SCALE
+    elif kind is MeasureKind.AVG_TRACE:
+        # Replacement channels disturb every pure state equally; diagonal
+        # channels scale with |sin theta|, whose surface average is pi/4.
+        Delta_c = base if scheme in ("cloner", "swap") else base * np.pi / 4.0
+    else:
+        Delta_c = None
     delta_n = measurement_error_estimate(povm, strategy).value
     Delta_n = disturbance_estimate(channel, kind, strategy).value
-    return SweepRecord(scheme, params, delta_c, Delta_c, delta_n, Delta_n,
+    return SweepRecord(scheme, params, delta, Delta_c, delta_n, Delta_n,
                        kind.value)
 
 
@@ -247,10 +227,14 @@ def cmd_experiment(args) -> int:
     env_seed = os.environ.get("QTRADEOFF_SEED")
     if env_seed is not None:
         try:
-            cfg = with_seed(cfg, int(env_seed))
+            seed = int(env_seed)
         except ValueError:
-            log.error("experiment: QTRADEOFF_SEED=%r is not an integer", env_seed)
+            seed = -1
+        if seed < 0:
+            log.error("experiment: QTRADEOFF_SEED=%r is not a non-negative "
+                      "integer", env_seed)
             return EXIT_INPUT
+        cfg = with_seed(cfg, seed)
         log.info("experiment: seed overridden by QTRADEOFF_SEED=%s", env_seed)
 
     log.info("experiment alpha=%g phi=%g shots=%s seed=%d",

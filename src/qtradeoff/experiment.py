@@ -290,43 +290,6 @@ def simulate_dataset(cfg: ExperimentConfig) -> SimulatedDataset:
 # Reconstruction
 # ---------------------------------------------------------------------------
 
-def _eigh2(h):
-    # Spectral decomposition of a 2x2 Hermitian matrix, by hand.
-    a = h[0, 0].real
-    c = h[1, 1].real
-    b = h[0, 1]
-    mid = 0.5 * (a + c)
-    r = np.hypot(0.5 * (a - c), abs(b))
-    lam_hi, lam_lo = mid + r, mid - r
-    if r < 1e-15:
-        return (lam_hi, lam_lo), (np.array([1.0, 0.0], dtype=complex),
-                                  np.array([0.0, 1.0], dtype=complex))
-    if abs(b) < 1e-15:
-        if a >= c:
-            v_hi = np.array([1.0, 0.0], dtype=complex)
-            v_lo = np.array([0.0, 1.0], dtype=complex)
-        else:
-            v_hi = np.array([0.0, 1.0], dtype=complex)
-            v_lo = np.array([1.0, 0.0], dtype=complex)
-        return (lam_hi, lam_lo), (v_hi, v_lo)
-    v_hi = np.array([b, lam_hi - a], dtype=complex)
-    v_hi /= np.linalg.norm(v_hi)
-    v_lo = np.array([-np.conj(v_hi[1]), np.conj(v_hi[0])])
-    return (lam_hi, lam_lo), (v_hi, v_lo)
-
-
-def _project_to_density(h):
-    # Eigenvalue truncation and renormalization onto the state space.
-    (lam_hi, lam_lo), (v_hi, v_lo) = _eigh2(h)
-    w_hi, w_lo = max(lam_hi, 0.0), max(lam_lo, 0.0)
-    total = w_hi + w_lo
-    if total <= 0.0:
-        return 0.5 * ID2
-    out = (w_hi * np.outer(v_hi, v_hi.conj())
-           + w_lo * np.outer(v_lo, v_lo.conj())) / total
-    return 0.5 * (out + out.conj().T)
-
-
 def reconstruct_branch_states(d: SimulatedDataset):
     """Linear-inversion tomography of every (state, port) branch.
 
@@ -361,12 +324,14 @@ def reconstruct_branch_states(d: SimulatedDataset):
                     raise InsufficientCounts(
                         f"zero shots in basis {b!r} at theta = {theta}, port {port}")
                 means.append((n_plus - n_minus) / tot)
+            # Outside the Bloch ball (1 + m.sigma)/2 has the eigenvalue
+            # (1 - |m|)/2 < 0; truncating it and renormalizing leaves the
+            # pure state along m.
+            norm = np.linalg.norm(means)
+            if norm > 1.0:
+                means = [m / norm for m in means]
             rho = 0.5 * (ID2 + means[0] * SIGMA_X + means[1] * SIGMA_Y
                          + means[2] * SIGMA_Z)
-            lam_lo = 0.5 * (rho[0, 0].real + rho[1, 1].real) - np.hypot(
-                0.5 * (rho[0, 0].real - rho[1, 1].real), abs(rho[0, 1]))
-            if lam_lo < 0.0:
-                rho = _project_to_density(rho)
             p = intensities[(theta, port)] / total_i
             out[(theta, port)] = BranchEstimate(rho, float(p))
     return out
@@ -459,7 +424,10 @@ def estimate_delta(d: SimulatedDataset):
 
     Returns (delta_hat, diagnostics dict).
     """
-    branches = reconstruct_branch_states(d)
+    return _delta_from_branches(d, reconstruct_branch_states(d))
+
+
+def _delta_from_branches(d, branches):
     thetas = np.asarray(d.config.thetas)
     p1_hat = np.array([branches[(t, 1)].probability for t in thetas])
     theta0, amp = _fit_target(thetas, p1_hat)
@@ -485,7 +453,10 @@ def estimate_Delta(d: SimulatedDataset):
 
     Returns (Delta_hat, diagnostics dict).
     """
-    branches = reconstruct_branch_states(d)
+    return _Delta_from_branches(d, reconstruct_branch_states(d))
+
+
+def _Delta_from_branches(d, branches):
     thetas = np.asarray(d.config.thetas)
     dists = []
     for t in thetas:
@@ -505,9 +476,11 @@ def estimate_Delta(d: SimulatedDataset):
 
 
 def estimate_tradeoff(d: SimulatedDataset) -> EstimatedTradeoff:
-    """Full pipeline: both estimates plus fit diagnostics."""
-    delta_hat, ddiag = estimate_delta(d)
-    Delta_hat, Ddiag = estimate_Delta(d)
+    """Full pipeline: both estimates plus fit diagnostics, from one
+    reconstruction of the branch states."""
+    branches = reconstruct_branch_states(d)
+    delta_hat, ddiag = _delta_from_branches(d, branches)
+    Delta_hat, Ddiag = _Delta_from_branches(d, branches)
     return EstimatedTradeoff(delta_hat, Delta_hat,
                              {"delta": ddiag, "Delta": Ddiag})
 
@@ -557,6 +530,16 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
 
+    def finite(v, where):
+        # NaN, Infinity and integers beyond float range are rejected.
+        try:
+            f = float(v)
+        except OverflowError:
+            f = np.inf
+        if not np.isfinite(f):
+            raise ValueError(f"{where}: expected a finite number")
+        return f
+
     def number(name, default=None, lo=None, hi=None, required=False):
         if name not in obj:
             if required:
@@ -565,7 +548,7 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
         v = obj[name]
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ValueError(f"{path}.{name}: expected a number, got {v!r}")
-        v = float(v)
+        v = finite(v, f"{path}.{name}")
         if lo is not None and not (lo <= v <= (hi if hi is not None else np.inf)):
             raise ValueError(f"{path}.{name}: value {v} out of range")
         return v
@@ -580,21 +563,25 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
                 isinstance(t, (int, float)) and not isinstance(t, bool)
                 for t in thetas):
             raise ValueError(f"{path}.thetas: expected a list of numbers")
+        for i, t in enumerate(thetas):
+            finite(t, f"{path}.thetas[{i}]")
 
     shots = obj.get("shots_per_basis", 10**6)
     if shots == "exact" or shots is None:
         shots = None
-    elif isinstance(shots, int) and not isinstance(shots, bool) and shots >= 1:
+    elif (isinstance(shots, int) and not isinstance(shots, bool)
+          and 1 <= shots <= np.iinfo(np.int64).max):
         pass
     else:
         raise ValueError(
-            f"{path}.shots_per_basis: expected a positive integer or 'exact', "
-            f"got {shots!r}")
+            f"{path}.shots_per_basis: expected a positive 64-bit integer or "
+            f"'exact', got {shots!r}")
 
     noise = number("intensity_noise", default=0.0, lo=0.0)
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"{path}.seed: expected an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(
+            f"{path}.seed: expected a non-negative integer, got {seed!r}")
     fit_amplitude = obj.get("fit_amplitude", False)
     if not isinstance(fit_amplitude, bool):
         raise ValueError(f"{path}.fit_amplitude: expected a boolean")

@@ -8,6 +8,11 @@ at eigenvalue crossings.  The returned value is never below the best
 coarse-scan value, and identical inputs always give identical outputs
 (multistart candidates derive deterministically from the strategy).
 
+The measures compute their state suprema exactly
+(:mod:`qtradeoff.measures`); the bipartite search serves only the
+diamond-norm kind, and :func:`maximize_over_pure_states` is kept as the
+independent oracle the tests check the exact suprema against.
+
 Objectives must be pure functions; the engine may evaluate them from
 multiple threads.
 """
@@ -62,11 +67,18 @@ class SupremumStrategy:
 class ExtremumEstimate:
     """Result of a maximization: argmax parameters, value, and the gap
     between the best coarse-scan value and the refined value (<= 0 means
-    refinement only improved)."""
+    refinement only improved).
+
+    ``method`` says how the value was obtained: ``"exact"`` (closed-form
+    or secular-equation supremum; ``certified_gap`` is 0), ``"quadrature"``
+    (a fixed quadrature rule, not a supremum; ``certified_gap`` is 0) or
+    ``"numeric"`` (scan plus refinement).
+    """
 
     params: np.ndarray
     value: float
     certified_gap: float
+    method: str = "numeric"
 
 
 DEFAULT_STRATEGY = SupremumStrategy()

@@ -28,6 +28,7 @@ from .experiment import (
 from .instruments import (
     DiagonalFamilyParams,
     OptimalFamilyParams,
+    apply_channel,
     make_diagonal_instrument,
     make_optimal_instrument,
     povm_of,
@@ -40,6 +41,7 @@ from .measures import (
     measurement_error,
     measurement_error_exact,
 )
+from .qmath import trace_norm
 from .supopt import SupremumStrategy
 
 __all__ = ["CheckResult", "run_checks", "QUICK_STRATEGY"]
@@ -261,12 +263,7 @@ def check_extremal_states(tol=1e-14) -> CheckResult:
 
         def dist_integrand(theta):
             rho = linear_pol_state(theta)
-            from .instruments import apply_channel
-            diff = apply_channel(ins, rho) - rho
-            a, c = diff[0, 0].real, diff[1, 1].real
-            r = np.hypot(0.5 * (a - c), abs(diff[0, 1]))
-            mid = 0.5 * (a + c)
-            return 0.5 * (abs(mid + r) + abs(mid - r))
+            return 0.5 * trace_norm(apply_channel(ins, rho) - rho)
 
         worst = max(worst, err_integrand(90.0), err_integrand(270.0),
                     dist_integrand(0.0), dist_integrand(180.0))

@@ -198,6 +198,17 @@ def test_experiment_env_seed_override(tmp_path, capsys, monkeypatch):
     assert env_records == plain_records
 
 
+@pytest.mark.parametrize("value", ["-1", "seven"])
+def test_experiment_rejects_bad_env_seed(tmp_path, capsys, monkeypatch, value):
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(experiment_config(shots_per_basis=100)))
+    monkeypatch.setenv("QTRADEOFF_SEED", value)
+    code, _ = run_cli(capsys, "experiment", "--config", str(f),
+                      "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_experiment_config_errors(tmp_path, capsys):
     f = tmp_path / "cfg.json"
     f.write_text(json.dumps({"phi": 0.0}))
@@ -208,6 +219,31 @@ def test_experiment_config_errors(tmp_path, capsys):
     code, _ = run_cli(capsys, "experiment", "--config", str(f),
                       "--out", str(tmp_path / "x"))
     assert code == 2
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"phi": float("nan")}, "config.phi"),
+    ({"alpha": float("nan")}, "config.alpha"),
+    ({"intensity_noise": float("inf")}, "config.intensity_noise"),
+    ({"thetas": [0.0, float("nan")]}, "config.thetas[1]"),
+    ({"thetas": [0.0, 10**400]}, "config.thetas[1]"),
+    ({"phi": 10**400}, "config.phi"),
+    ({"seed": -1}, "config.seed"),
+    ({"shots_per_basis": 10**30}, "config.shots_per_basis"),
+])
+def test_experiment_rejects_unusable_numbers(tmp_path, capsys, caplog,
+                                             overrides, field):
+    # Python's json writes and reads NaN, Infinity and integers of any
+    # size; the config must reject values the simulation cannot use with
+    # the input-error exit code and name the field.
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(experiment_config(
+        **{"shots_per_basis": 100, **overrides})))
+    code, _ = run_cli(capsys, "experiment", "--config", str(f),
+                      "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert field in caplog.text
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,27 @@ def test_Delta_estimate_diagnostics():
     assert abs(par["rel_gap"]) < 1e-3
 
 
+@pytest.mark.parametrize("shots", [4000, None])
+def test_estimate_tradeoff_matches_separate_estimates(shots, monkeypatch):
+    import qtradeoff.experiment as experiment
+
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.6),
+                           shots_per_basis=shots, seed=5)
+    d = simulate_dataset(cfg)
+    delta_hat, ddiag = estimate_delta(d)
+    Delta_hat, Ddiag = estimate_Delta(d)
+
+    calls = []
+    original = experiment.reconstruct_branch_states
+    monkeypatch.setattr(experiment, "reconstruct_branch_states",
+                        lambda ds: calls.append(ds) or original(ds))
+    est = estimate_tradeoff(d)
+    assert len(calls) == 1
+    assert est.delta_hat == delta_hat
+    assert est.Delta_hat == Delta_hat
+    assert est.diagnostics == {"delta": ddiag, "Delta": Ddiag}
+
+
 def test_estimator_bias_is_upward():
     # the max-over-states estimator cannot make the channel look closer
     # to the identity on average
