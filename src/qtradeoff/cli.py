@@ -2,9 +2,10 @@
 experiment simulation, and the verification suite.
 
 Exit codes: 0 success, 2 input error, 3 verification failure.  Every run
-logs the measure kind and supremum strategy to stderr so records are
-reproducible.  The environment variable ``QTRADEOFF_SEED`` overrides
-config seeds for reproducibility audits.
+logs the measure kind, and the supremum strategy where the numeric
+diamond-norm search runs, to stderr so records are reproducible.  The
+environment variable ``QTRADEOFF_SEED`` overrides config seeds for
+reproducibility audits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ from .measures import (
     disturbance_estimate,
     measurement_error_estimate,
 )
-from .states import pure_state
+from .states import density_to_bloch, pure_state
 from .supopt import DEFAULT_STRATEGY
 
 log = logging.getLogger("qtradeoff")
@@ -58,51 +58,43 @@ EXIT_VERIFY = 3
 _KIND_CHOICES = [k.value for k in MeasureKind]
 
 
-@dataclass
-class SweepRecord:
-    """One sweep row: scheme parameters plus closed-form and numeric
-    (delta, Delta) values under the chosen measure kind."""
-
-    scheme: str
-    params: dict
-    delta_closed: float | None
-    Delta_closed: float | None
-    delta_numeric: float
-    Delta_numeric: float
-    measure_kind: str
-
-
 def _fmt(x):
     if x is None:
         return ""
     return f"{x:.12g}"
 
 
-def _sweep_point(scheme, value, kind, strategy):
-    """One sweep row.  The closed-form Delta is None where the kind has no
-    closed form (diamond)."""
+def _strategy_note(kind):
+    # Only the diamond kind searches numerically; the others are exact.
+    if kind is MeasureKind.DIAMOND:
+        return f" strategy={DEFAULT_STRATEGY}"
+    return ""
+
+
+def _sweep_point(scheme, value, kind):
+    """Closed-form and computed (delta, Delta) of one sweep row.  The
+    closed-form Delta is None where the kind has no closed form
+    (diamond)."""
     if scheme == "optimal":
         ins = make_optimal_instrument(OptimalFamilyParams(value))
-        povm, channel, params = povm_of(ins), ins, {"gamma": value}
+        povm, channel = povm_of(ins), ins
         delta = 0.5 * (1.0 - value)
         base = 0.5 * (1.0 - np.sqrt(1.0 - value**2))
     elif scheme == "diagonal":
         ins = make_diagonal_instrument(DiagonalFamilyParams(value, value))
-        povm, channel, params = povm_of(ins), ins, {"b": value}
+        povm, channel = povm_of(ins), ins
         delta = value * value
         base = 0.5 * abs(1.0 - 2.0 * value * np.sqrt(1.0 - value * value))
     elif scheme == "cloner":
         p = schemes.ClonerParams.from_a2(value)
         povm = schemes.cloner_induced_povm(p)
         channel = schemes.cloner_system_channel_spec(p)
-        params = {"a2": value}
         pt = schemes.cloner_tradeoff_point(p)
         delta, base = pt.delta, pt.Delta
     else:
         p = schemes.SwapParams(value)
         povm = schemes.swap_induced_povm(p)
         channel = schemes.swap_system_channel_spec(p)
-        params = {"t": value}
         pt = schemes.swap_tradeoff_point(p)
         delta, base = pt.delta, pt.Delta
 
@@ -116,10 +108,8 @@ def _sweep_point(scheme, value, kind, strategy):
         Delta_c = base if scheme in ("cloner", "swap") else base * np.pi / 4.0
     else:
         Delta_c = None
-    delta_n = measurement_error_estimate(povm, strategy).value
-    Delta_n = disturbance_estimate(channel, kind, strategy).value
-    return SweepRecord(scheme, params, delta, Delta_c, delta_n, Delta_n,
-                       kind.value)
+    return (delta, Delta_c, measurement_error_estimate(povm).value,
+            disturbance_estimate(channel, kind).value)
 
 
 def cmd_sweep(args) -> int:
@@ -132,29 +122,17 @@ def cmd_sweep(args) -> int:
         log.error("sweep: unknown measure kind %r", args.kind)
         return EXIT_INPUT
 
-    ranges = {
-        "optimal": np.linspace(0.0, 1.0, args.steps),
-        "diagonal": np.linspace(0.0, 1.0, args.steps),
-        "cloner": np.linspace(0.0, 1.0, args.steps),
-        "swap": np.linspace(0.0, 0.5 * np.pi, args.steps),
-    }
-    values = ranges[args.scheme]
-    log.info("sweep scheme=%s steps=%d kind=%s strategy=%s",
-             args.scheme, args.steps, kind.value, DEFAULT_STRATEGY)
+    top = 0.5 * np.pi if args.scheme == "swap" else 1.0
+    values = np.linspace(0.0, top, args.steps)
+    log.info("sweep scheme=%s steps=%d kind=%s%s", args.scheme, args.steps,
+             kind.value, _strategy_note(kind))
 
     rows = ["scheme,param,delta_closed,Delta_closed,delta_numeric,"
             "Delta_numeric,kind"]
     for v in values:
-        rec = _sweep_point(args.scheme, float(v), kind, None)
-        rows.append(",".join([
-            rec.scheme,
-            _fmt(float(v)),
-            _fmt(rec.delta_closed),
-            _fmt(rec.Delta_closed),
-            _fmt(rec.delta_numeric),
-            _fmt(rec.Delta_numeric),
-            rec.measure_kind,
-        ]))
+        point = _sweep_point(args.scheme, float(v), kind)
+        rows.append(",".join([args.scheme, _fmt(float(v)),
+                              *map(_fmt, point), kind.value]))
     try:
         Path(args.out).write_text("\n".join(rows) + "\n")
     except OSError as exc:
@@ -179,17 +157,14 @@ def cmd_eval(args) -> int:
         log.error("eval: %s", exc)
         return EXIT_INPUT
 
-    log.info("eval kind=%s strategy=%s", kind.value, DEFAULT_STRATEGY)
+    log.info("eval kind=%s%s", kind.value, _strategy_note(kind))
     d_est = measurement_error_estimate(povm_of(ins))
     dd_est = disturbance_estimate(ins, kind)
 
     def argmax_state(est):
         if est.params.size == 2:
-            th, ph = est.params
-            rho = pure_state(th, ph)
-            from .states import density_to_bloch
-            return {"bloch": [round(float(c), 12)
-                              for c in density_to_bloch(rho)]}
+            bloch = density_to_bloch(pure_state(*est.params))
+            return {"bloch": [round(float(c), 12) for c in bloch]}
         if est.params.size == 8:
             v = est.params[:4] + 1j * est.params[4:]
             return {"bipartite_vector": [[float(c.real), float(c.imag)]
@@ -270,9 +245,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    log.info("verify level=%s strategy=%s", args.level,
-             verification.QUICK_STRATEGY if args.level == "quick"
-             else DEFAULT_STRATEGY)
+    # Only the full level runs the diamond-norm check.
+    log.info("verify level=%s%s", args.level,
+             _strategy_note(MeasureKind.DIAMOND) if args.level == "full" else "")
     results = verification.run_checks(args.level)
     for r in results:
         print(r.line())

@@ -41,7 +41,7 @@ from scipy.optimize import minimize
 from .instruments import Instrument, povm_of, validate_instrument
 from .measures import (
     diagonal_channel_disturbance_exact,
-    measurement_error_exact,
+    measurement_error,
 )
 from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .states import density_to_bloch, linear_pol_state, sm7_state_list
@@ -219,7 +219,7 @@ def instrument_from_setting(s: InterferometerSetting) -> Instrument:
 def analytic_tradeoff_of_setting(s: InterferometerSetting):
     """Exact (delta, Delta) of the instrument realized at a setting."""
     ins = instrument_from_setting(s)
-    return (measurement_error_exact(povm_of(ins)),
+    return (measurement_error(povm_of(ins)),
             diagonal_channel_disturbance_exact(ins))
 
 

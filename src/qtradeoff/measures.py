@@ -43,7 +43,9 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import brentq
 
-from .instruments import Instrument, Povm, DiagonalFamilyParams, povm_of, validate_instrument
+from .instruments import (
+    NORMALIZATION_TOL, DiagonalFamilyParams, Instrument, Povm, povm_of,
+    validate_instrument)
 from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, partial_trace, tensor, trace_norm
 from .supopt import ExtremumEstimate, maximize_over_bipartite_pure_states
 
@@ -55,7 +57,6 @@ __all__ = [
     "HS_TO_TRACE_NORM_SCALE",
     "measurement_error",
     "measurement_error_estimate",
-    "measurement_error_exact",
     "diagonal_measurement_error_closed_form",
     "diagonal_disturbance_closed_form",
     "diagonal_channel_disturbance_exact",
@@ -112,7 +113,6 @@ class TradeoffPoint:
 # I/2 followed by the +1 eigenstates of sigma_x, sigma_y and sigma_z.
 _PROBE_STATES = (0.5 * ID2,) + tuple(
     0.5 * (ID2 + s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
-TRACE_PRESERVING_TOL = 1e-10
 
 
 def _pauli_coefficients(x):
@@ -128,15 +128,15 @@ def _bloch_affine(apply2):
 
     Read from the images of I/2 and the three Pauli eigenstates, so every
     linear map works, bare callables included.  Raises ValueError if the
-    map is not trace-preserving to ``TRACE_PRESERVING_TOL``.
+    map is not trace-preserving to ``NORMALIZATION_TOL``.
     """
     coeffs = [_pauli_coefficients(np.asarray(apply2(rho), dtype=complex))
               for rho in _PROBE_STATES]
     dev = max(abs(2.0 * c - 1.0) for c, _ in coeffs)
-    if not dev <= TRACE_PRESERVING_TOL:
+    if not dev <= NORMALIZATION_TOL:
         raise ValueError(
             f"channel is not trace-preserving: |tr T(rho) - 1| = {dev:.3e} "
-            f"exceeds {TRACE_PRESERVING_TOL:.0e}")
+            f"exceeds {NORMALIZATION_TOL:.0e}")
     t = 2.0 * coeffs[0][1]
     m = np.column_stack([2.0 * d - t for _, d in coeffs[1:]])
     return m, t
@@ -196,15 +196,14 @@ def _exact(r, value):
 # Measurement error
 # ---------------------------------------------------------------------------
 
-def measurement_error_estimate(povm: Povm, strategy=None) -> ExtremumEstimate:
+def measurement_error_estimate(povm: Povm) -> ExtremumEstimate:
     """Worst-case total variational distance to the target measurement,
     with the maximizing state's Bloch angles.
 
     Exact: with E'_j - E_j = c_j 1 + d_j . sigma, the supremum of
     (1/2)(|c_1 + d_1.r| + |c_2 + d_2.r|) over unit r is the largest of
     (1/2)(s_1 c_1 + s_2 c_2 + |s_1 d_1 + s_2 d_2|) over the signs s_j,
-    which is |c_1| + |d_1| when E'_1 + E'_2 = 1.  ``strategy`` is
-    accepted for call compatibility and not used.
+    which is |c_1| + |d_1| when E'_1 + E'_2 = 1.
     """
     (c1, d1), (c2, d2) = (_pauli_coefficients(e - t) for e, t in (
         (povm.e1, TARGET_POVM.e1), (povm.e2, TARGET_POVM.e2)))
@@ -216,13 +215,10 @@ def measurement_error_estimate(povm: Povm, strategy=None) -> ExtremumEstimate:
     return _exact(r, 0.5 * (c + n))
 
 
-def measurement_error(povm: Povm, strategy=None) -> float:
+def measurement_error(povm: Povm) -> float:
     """delta(E'): supremum over pure states of the outcome-distribution
     distance to the ideal projective measurement (exact)."""
     return measurement_error_estimate(povm).value
-
-
-measurement_error_exact = measurement_error
 
 
 def diagonal_measurement_error_closed_form(p: DiagonalFamilyParams) -> float:
@@ -239,35 +235,28 @@ def diagonal_measurement_error_closed_form(p: DiagonalFamilyParams) -> float:
 # Channel handling
 # ---------------------------------------------------------------------------
 
-def _apply2(channel):
-    """The channel as a function on 2x2 states."""
+def _kraus_map(k1, k2):
+    k1d, k2d = dag(k1), dag(k2)
+    return lambda x: k1 @ x @ k1d + k2 @ x @ k2d
+
+
+def _channel_maps(channel):
+    """(T, extend): the channel as a function on 2x2 states, and a
+    builder of T (x) id on 4x4 operators (None for a bare callable, which
+    has no known bipartite form)."""
     if isinstance(channel, Instrument):
         k1, k2 = channel.k1, channel.k2
-        k1d, k2d = dag(k1), dag(k2)
-        return lambda rho: k1 @ rho @ k1d + k2 @ rho @ k2d
+        return _kraus_map(k1, k2), lambda: _kraus_map(np.kron(k1, ID2),
+                                                      np.kron(k2, ID2))
     if hasattr(channel, "weight") and hasattr(channel, "replacement"):
         w = float(channel.weight)
         rep = np.asarray(channel.replacement, dtype=complex)
-        return lambda rho: w * rep * np.trace(rho) + (1.0 - w) * rho
+        return (lambda rho: w * rep * np.trace(rho) + (1.0 - w) * rho,
+                lambda: lambda x: (w * tensor(rep, partial_trace(x, "first"))
+                                   + (1.0 - w) * x))
     if callable(channel):
-        return channel
+        return channel, None
     raise TypeError(f"cannot interpret {type(channel).__name__} as a channel")
-
-
-def _apply4(channel):
-    """T (x) id as a function on 4x4 operators, or None for a bare
-    callable."""
-    if isinstance(channel, Instrument):
-        k1e = np.kron(channel.k1, ID2)
-        k2e = np.kron(channel.k2, ID2)
-        k1ed, k2ed = dag(k1e), dag(k2e)
-        return lambda x: k1e @ x @ k1ed + k2e @ x @ k2ed
-    if hasattr(channel, "weight") and hasattr(channel, "replacement"):
-        w = float(channel.weight)
-        rep = np.asarray(channel.replacement, dtype=complex)
-        return lambda x: (w * tensor(rep, partial_trace(x, "first"))
-                          + (1.0 - w) * x)
-    return None
 
 
 def diagonal_disturbance_closed_form(p: DiagonalFamilyParams) -> float:
@@ -350,7 +339,8 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
     except ValueError as exc:
         raise UnknownKind(f"unknown disturbance measure kind {kind!r}") from exc
 
-    m, t = _bloch_affine(_apply2(channel))
+    apply2, extend = _channel_maps(channel)
+    m, t = _bloch_affine(apply2)
 
     # T(rho) - rho = ((M - 1) r + t) . sigma / 2 is traceless, with trace
     # norm |(M - 1) r + t| and Hilbert-Schmidt norm that over sqrt(2).
@@ -363,9 +353,10 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
 
     if kind is MeasureKind.WORST_INFIDELITY:
         # For pure rho, 1 - F(rho, T(rho))^2 = 1 - tr(rho T(rho))
-        # = (1 - r.(M r + t)) / 2, minimized over r.
+        # = (1 - r.(M r + t)) / 2, minimized over r.  Clamped at 0:
+        # rounding can take the identity channel's value below it.
         r = _sphere_argmax(-0.5 * (m + m.T), -0.5 * t)
-        return _exact(r, 0.5 * (1.0 - r @ (m @ r + t)))
+        return _exact(r, max(0.0, 0.5 * (1.0 - r @ (m @ r + t))))
 
     if kind is MeasureKind.AVG_TRACE:
         points, weights = _quadrature(average_domain)
@@ -377,8 +368,7 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
     # ancilla.  The exact worst single-qubit input, embedded as a product
     # state, is always among the refinement starts, and the estimate is
     # never below the worst-case trace-norm value.
-    apply4 = _apply4(channel)
-    if apply4 is None:
+    if extend is None:
         raise TypeError(
             "diamond-norm disturbance needs an Instrument or a marginal "
             "channel spec; a bare callable has no bipartite extension")
@@ -386,6 +376,7 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
     th, ph = _bloch_angles(r)
     psi = np.array([np.cos(0.5 * th), np.exp(1j * ph) * np.sin(0.5 * th)])
     extra = [np.kron(psi, e) for e in ([1.0, 0.0], [0.0, 1.0])]
+    apply4 = extend()
 
     def g(v):
         xi = np.outer(v, v.conj())
@@ -408,7 +399,7 @@ def tradeoff_of(ins: Instrument, kind=MeasureKind.WORST_TRACE,
     """Pair the measurement error of the induced POVM with the channel
     disturbance of the instrument."""
     kind = MeasureKind(kind)
-    delta = measurement_error(povm_of(ins), strategy)
+    delta = measurement_error(povm_of(ins))
     Delta = disturbance(ins, kind, strategy)
     tag = dict(ins.label)
     tag["kind"] = kind.value
@@ -496,9 +487,9 @@ def check_measure_axioms(samples: int, rng) -> AxiomReport:
         m, mp = _random_povm(rng), _random_povm(rng)
         lam = float(rng.uniform())
 
-        d_m = measurement_error_exact(m)
-        d_mp = measurement_error_exact(mp)
-        d_mix = measurement_error_exact(_mix_povm(m, mp, lam))
+        d_m = measurement_error(m)
+        d_mp = measurement_error(mp)
+        d_mix = measurement_error(_mix_povm(m, mp, lam))
         worst["delta-convexity"] = max(
             worst["delta-convexity"], d_mix - (lam * d_m + (1 - lam) * d_mp))
 
@@ -506,17 +497,17 @@ def check_measure_axioms(samples: int, rng) -> AxiomReport:
         perm = Povm(SIGMA_X @ m.e2 @ SIGMA_X, SIGMA_X @ m.e1 @ SIGMA_X)
         worst["delta-permutation-invariance"] = max(
             worst["delta-permutation-invariance"],
-            abs(measurement_error_exact(perm) - d_m))
+            abs(measurement_error(perm) - d_m))
 
         chi = float(rng.uniform(0.0, 2.0 * np.pi))
         du = np.diag([1.0, np.exp(1j * chi)])
         rotated = Povm(dag(du) @ m.e1 @ du, dag(du) @ m.e2 @ du)
         worst["delta-diagonal-unitary-invariance"] = max(
             worst["delta-diagonal-unitary-invariance"],
-            abs(measurement_error_exact(rotated) - d_m))
+            abs(measurement_error(rotated) - d_m))
 
         ins_a, ins_b = _random_instrument(rng), _random_instrument(rng)
-        fa, fb = _apply2(ins_a), _apply2(ins_b)
+        fa, fb = _channel_maps(ins_a)[0], _channel_maps(ins_b)[0]
         da = disturbance(fa)
         db = disturbance(fb)
         dmix = disturbance(lambda rho: lam * fa(rho) + (1 - lam) * fb(rho))

@@ -39,15 +39,10 @@ from .measures import (
     diagonal_channel_disturbance_exact,
     disturbance,
     measurement_error,
-    measurement_error_exact,
 )
 from .qmath import trace_norm
-from .supopt import SupremumStrategy
 
-__all__ = ["CheckResult", "run_checks", "QUICK_STRATEGY"]
-
-QUICK_STRATEGY = SupremumStrategy(coarse_grid_points=24, refine_iterations=60,
-                                  tolerance=1e-8, multistarts=4)
+__all__ = ["CheckResult", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -71,46 +66,46 @@ class CheckResult:
         return msg
 
 
-def check_optimal_frontier(points=101, tol=1e-6, strategy=None,
+def check_optimal_frontier(points=101, tol=1e-6,
                            frontier_fn=None) -> CheckResult:
-    """Numeric (delta, Delta) of the optimal family lies on the frontier."""
+    """Exact (delta, Delta) of the optimal family lies on the frontier."""
     frontier = frontier_fn or schemes.optimal_frontier
     worst = 0.0
     for gamma in np.linspace(0.0, 1.0, points):
         ins = make_optimal_instrument(OptimalFamilyParams(float(gamma)))
-        d = measurement_error(povm_of(ins), strategy)
-        dd = disturbance(ins, MeasureKind.WORST_TRACE, strategy)
+        d = measurement_error(povm_of(ins))
+        dd = disturbance(ins, MeasureKind.WORST_TRACE)
         worst = max(worst, abs(dd - frontier(min(d, 1.0))))
     return CheckResult("frontier-optimal", worst < tol, worst, tol,
                        f"{points} instruments")
 
 
-def check_cloner_curve(points=101, tol=1e-6, strategy=None) -> CheckResult:
-    """Cloner closed forms match numeric suprema on the induced pair."""
+def check_cloner_curve(points=101, tol=1e-6) -> CheckResult:
+    """Cloner closed forms match the exact suprema on the induced pair."""
     worst = 0.0
     for a2 in np.linspace(0.0, 1.0, points):
         p = schemes.ClonerParams.from_a2(float(a2))
         pt = schemes.cloner_tradeoff_point(p)
-        d_num = measurement_error(schemes.cloner_induced_povm(p), strategy)
+        d_num = measurement_error(schemes.cloner_induced_povm(p))
         dd_num = disturbance(schemes.cloner_system_channel_spec(p),
-                             MeasureKind.WORST_TRACE, strategy)
+                             MeasureKind.WORST_TRACE)
         worst = max(worst, abs(d_num - pt.delta), abs(dd_num - pt.Delta),
                     abs(dd_num - schemes.cloner_tradeoff_curve(min(d_num, 1.0))))
     return CheckResult("curve-cloner", worst < tol, worst, tol,
                        f"{points} parameter values")
 
 
-def check_swap_line(points=101, tol=1e-6, strategy=None) -> CheckResult:
-    """Swap closed forms match numeric suprema; delta + Delta = 1/2."""
+def check_swap_line(points=101, tol=1e-6) -> CheckResult:
+    """Swap closed forms match the exact suprema; delta + Delta = 1/2."""
     worst = 0.0
     closed_worst = 0.0
     for t in np.linspace(0.0, 0.5 * np.pi, points):
         p = schemes.SwapParams(float(t))
         pt = schemes.swap_tradeoff_point(p)
         closed_worst = max(closed_worst, abs(pt.delta + pt.Delta - 0.5))
-        d_num = measurement_error(schemes.swap_induced_povm(p), strategy)
+        d_num = measurement_error(schemes.swap_induced_povm(p))
         dd_num = disturbance(schemes.swap_system_channel_spec(p),
-                             MeasureKind.WORST_TRACE, strategy)
+                             MeasureKind.WORST_TRACE)
         worst = max(worst, abs(d_num + dd_num - 0.5),
                     abs(d_num - pt.delta), abs(dd_num - pt.Delta))
     worst = max(worst, closed_worst)
@@ -157,7 +152,7 @@ def check_dominance(margin=1e-4, frontier_fn=None) -> CheckResult:
 def check_no_go(n=1000, seed=20260809, slack=1e-7, frontier_fn=None) -> CheckResult:
     """Random diagonal instruments never beat the frontier.
 
-    delta is evaluated exactly (spectral form) and Delta with the exact
+    delta is evaluated exactly and Delta with the exact
     diagonal closed form, so the check covers the full family including
     phases.
     """
@@ -170,7 +165,7 @@ def check_no_go(n=1000, seed=20260809, slack=1e-7, frontier_fn=None) -> CheckRes
             beta1=float(rng.uniform(0.0, 2.0 * np.pi)),
             beta2=float(rng.uniform(0.0, 2.0 * np.pi)))
         ins = make_diagonal_instrument(p)
-        delta = measurement_error_exact(povm_of(ins))
+        delta = measurement_error(povm_of(ins))
         Delta = diagonal_channel_disturbance_exact(ins)
         worst = max(worst, frontier(min(delta, 1.0)) - Delta)
     return CheckResult("no-go-sampling", worst <= slack, max(worst, 0.0),
@@ -183,7 +178,7 @@ def check_diamond_equality(points=11, tol=1e-4, strategy=None) -> CheckResult:
     worst = 0.0
     for gamma in np.linspace(0.0, 1.0, points):
         ins = make_optimal_instrument(OptimalFamilyParams(float(gamma)))
-        d_tr = disturbance(ins, MeasureKind.WORST_TRACE, strategy)
+        d_tr = disturbance(ins, MeasureKind.WORST_TRACE)
         d_di = disturbance(ins, MeasureKind.DIAMOND, strategy)
         if d_di < d_tr - 1e-12:
             worst = max(worst, tol + (d_tr - d_di))  # ordering violated
@@ -302,11 +297,10 @@ def run_checks(level="quick"):
     interactive, `full` runs the acceptance-grade variants including the
     diamond-norm equality and the Monte-Carlo pipeline closure."""
     if level == "quick":
-        s = QUICK_STRATEGY
         results = [
-            check_optimal_frontier(points=21, strategy=s),
-            check_cloner_curve(points=11, strategy=s),
-            check_swap_line(points=11, strategy=s),
+            check_optimal_frontier(points=21),
+            check_cloner_curve(points=11),
+            check_swap_line(points=11),
             check_dominance(),
             check_no_go(n=200),
             check_extremal_states(),

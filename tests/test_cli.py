@@ -274,8 +274,6 @@ def test_verify_detects_injected_faulty_frontier():
     assert check_dominance(frontier_fn=faulty).passed is False
     # and the frontier-reproduction check must catch it too
     from qtradeoff.verification import check_optimal_frontier
-    from qtradeoff.verification import QUICK_STRATEGY
 
-    res = check_optimal_frontier(points=5, strategy=QUICK_STRATEGY,
-                                 frontier_fn=faulty)
+    res = check_optimal_frontier(points=5, frontier_fn=faulty)
     assert res.passed is False

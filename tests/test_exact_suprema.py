@@ -182,6 +182,17 @@ def test_pure_replacement_peaks_opposite_the_replacement():
     assert est.params[0] == pytest.approx(np.pi, abs=1e-12)
 
 
+def test_identity_channel_infidelity_reads_zero():
+    # (1 - r.(M r + t)) / 2 with M = 1 up to rounding is clamped at 0: a
+    # supremum of a nonnegative quantity never reads negative.
+    ins = make_optimal_instrument(OptimalFamilyParams(0.0))
+    for channel in (ins, lambda rho: apply_channel(ins, rho), lambda rho: rho):
+        assert disturbance_estimate(
+            channel, MeasureKind.WORST_INFIDELITY).value == 0.0
+        for kind in (MeasureKind.WORST_TRACE, MeasureKind.WORST_HS):
+            assert 0.0 <= disturbance_estimate(channel, kind).value <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # averaged kind: the vectorised quadrature against the scalar loop
 # ---------------------------------------------------------------------------

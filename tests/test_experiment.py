@@ -28,7 +28,7 @@ from qtradeoff.instruments import (
     outcome_probabilities,
     povm_of,
 )
-from qtradeoff.measures import measurement_error_exact
+from qtradeoff.measures import measurement_error
 from qtradeoff.qmath import ID2, dag
 from qtradeoff.states import linear_pol_state, sm7_state_list
 
@@ -279,7 +279,7 @@ def test_error_integrand_extremal_states():
     d = simulate_dataset(cfg)
     branches = reconstruct_branch_states(d)
     ins = instrument_from_setting(cfg.setting)
-    delta_exact = measurement_error_exact(povm_of(ins))
+    delta_exact = measurement_error(povm_of(ins))
     devs = {t: abs(branches[(t, 1)].probability
                    - 0.5 * (1.0 + np.cos(np.deg2rad(t))))
             for t in cfg.thetas}

@@ -18,12 +18,11 @@ from qtradeoff.measures import (
     diagonal_measurement_error_closed_form,
     disturbance,
     measurement_error,
-    measurement_error_exact,
     tradeoff_of,
 )
 from qtradeoff.qmath import ID2, SIGMA_X, dag
 from qtradeoff.schemes import optimal_frontier
-from qtradeoff.supopt import SupremumStrategy
+from qtradeoff.supopt import SupremumStrategy, maximize_over_pure_states
 
 FAST = SupremumStrategy(coarse_grid_points=24, refine_iterations=60,
                         tolerance=1e-8, multistarts=4)
@@ -68,17 +67,17 @@ def oracle_disturbance_trace(ins):
 
 def test_error_zero_for_target():
     ins = make_optimal_instrument(OptimalFamilyParams(1.0))
-    assert measurement_error(povm_of(ins), FAST) == pytest.approx(0.0, abs=1e-12)
+    assert measurement_error(povm_of(ins)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_error_half_for_flat_povm():
     ins = make_optimal_instrument(OptimalFamilyParams(0.0))
-    assert measurement_error(povm_of(ins), FAST) == pytest.approx(0.5, abs=1e-9)
+    assert measurement_error(povm_of(ins)) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_error_optimal_family_closed_form():
     ins = make_optimal_instrument(OptimalFamilyParams(0.5))
-    d = measurement_error(povm_of(ins), FAST)
+    d = measurement_error(povm_of(ins))
     assert d == pytest.approx(0.25, abs=1e-9)
     # independent grid-supremum oracle
     assert d == pytest.approx(oracle_measurement_error(povm_of(ins)), abs=1e-6)
@@ -94,15 +93,18 @@ def test_error_exact_matches_numeric_on_random_povms():
         e1 = 0.5 * (e1 + dag(e1))
         from qtradeoff.instruments import Povm
         povm = Povm(e1, ID2 - e1)
-        assert measurement_error(povm, FAST) == pytest.approx(
-            measurement_error_exact(povm), abs=1e-8)
+        a1, a2 = povm.e1 - np.diag([1.0, 0.0]), povm.e2 - np.diag([0.0, 1.0])
+        numeric = maximize_over_pure_states(
+            lambda rho: 0.5 * (abs(np.trace(a1 @ rho).real)
+                               + abs(np.trace(a2 @ rho).real)), FAST).value
+        assert measurement_error(povm) == pytest.approx(numeric, abs=1e-8)
 
 
 def test_diagonal_error_closed_form_on_symmetric_locus():
     for b in (0.0, 0.3, np.sqrt(0.5), 0.9):
         p = DiagonalFamilyParams(b, b)
         closed = diagonal_measurement_error_closed_form(p)
-        numeric = measurement_error(povm_of(make_diagonal_instrument(p)), FAST)
+        numeric = measurement_error(povm_of(make_diagonal_instrument(p)))
         assert closed == pytest.approx(b * b, abs=1e-15)
         assert numeric == pytest.approx(closed, abs=1e-8)
 
@@ -110,7 +112,7 @@ def test_diagonal_error_closed_form_on_symmetric_locus():
 def test_diagonal_error_closed_form_is_lower_bound_off_locus():
     p = DiagonalFamilyParams(0.9, 0.1)
     closed = diagonal_measurement_error_closed_form(p)
-    exact = measurement_error_exact(povm_of(make_diagonal_instrument(p)))
+    exact = measurement_error(povm_of(make_diagonal_instrument(p)))
     assert exact == pytest.approx(max(p.b1**2, p.b2**2), abs=1e-12)
     assert closed <= exact + 1e-12
 
@@ -253,7 +255,7 @@ def test_frontier_validity_random_diagonal_instruments():
     for _ in range(300):
         p = DiagonalFamilyParams(*rng.uniform(0, 1, 2), *rng.uniform(0, 2 * np.pi, 2))
         ins = make_diagonal_instrument(p)
-        delta = measurement_error_exact(povm_of(ins))
+        delta = measurement_error(povm_of(ins))
         Delta = diagonal_channel_disturbance_exact(ins)
         assert Delta >= optimal_frontier(min(delta, 1.0)) - 1e-7
 
@@ -267,7 +269,7 @@ def test_linear_polarization_circle_attains_suprema():
     thetas = np.linspace(0.0, 360.0, 1441)
     e1 = povm_of(ins).e1 - np.diag([1.0, 0.0])
     circle_err = max(abs(np.trace(e1 @ linear_pol_state(t)).real) for t in thetas)
-    assert measurement_error(povm_of(ins), FAST) == pytest.approx(circle_err, abs=1e-6)
+    assert measurement_error(povm_of(ins)) == pytest.approx(circle_err, abs=1e-6)
 
     def dist(t):
         rho = linear_pol_state(t)
@@ -306,8 +308,8 @@ def test_convexity_edge_mixtures_are_equalities():
         m, mp = _random_povm(rng), _random_povm(rng)
         for lam in (0.0, 1.0):
             mix = _mix_povm(m, mp, lam)
-            ref = measurement_error_exact(m) if lam == 1.0 else measurement_error_exact(mp)
-            assert measurement_error_exact(mix) == pytest.approx(ref, abs=1e-10)
+            ref = measurement_error(m) if lam == 1.0 else measurement_error(mp)
+            assert measurement_error(mix) == pytest.approx(ref, abs=1e-10)
 
 
 def test_basis_independence_sigma_x_instance():

@@ -5,7 +5,6 @@ from qtradeoff.measures import (
     MeasureKind,
     disturbance,
     measurement_error,
-    measurement_error_exact,
 )
 from qtradeoff.qmath import ID2, partial_trace, tensor
 from qtradeoff.schemes import (
@@ -161,7 +160,7 @@ def test_cloner_numeric_supremum_cross_check():
     for a2 in (0.2, 0.7):
         p = ClonerParams.from_a2(a2)
         pt = cloner_tradeoff_point(p)
-        d_num = measurement_error(cloner_induced_povm(p), FAST)
+        d_num = measurement_error(cloner_induced_povm(p))
         dd_num = disturbance(cloner_system_channel_spec(p), MeasureKind.WORST_TRACE, FAST)
         assert d_num == pytest.approx(pt.delta, abs=1e-6)
         assert dd_num == pytest.approx(pt.Delta, abs=1e-6)
@@ -238,7 +237,7 @@ def test_swap_tradeoff_points():
 def test_swap_numeric_supremum_cross_check():
     p = SwapParams(0.6)
     pt = swap_tradeoff_point(p)
-    d_num = measurement_error(swap_induced_povm(p), FAST)
+    d_num = measurement_error(swap_induced_povm(p))
     dd_num = disturbance(swap_system_channel_spec(p), MeasureKind.WORST_TRACE, FAST)
     assert d_num == pytest.approx(pt.delta, abs=1e-6)
     assert dd_num == pytest.approx(pt.Delta, abs=1e-6)
@@ -267,8 +266,8 @@ def test_swap_pure_ancilla_same_error_more_disturbance():
                                 (povm_pure.e2, povm_mixed.e2)):
             assert np.trace(e_pure @ rho).real == pytest.approx(
                 np.trace(e_mixed @ rho).real, abs=1e-12)
-    assert measurement_error_exact(povm_pure) >= \
-        measurement_error_exact(povm_mixed) - 1e-12
+    assert measurement_error(povm_pure) >= \
+        measurement_error(povm_mixed) - 1e-12
 
     def apply_s(rho):
         from qtradeoff.qmath import FLIP, ID4, dag as _dag
