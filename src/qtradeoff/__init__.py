@@ -69,6 +69,7 @@ from .supopt import (
     ExtremumEstimate,
     SupremumStrategy,
     maximize_over_bipartite_pure_states,
+    maximize_over_bloch_ball,
     maximize_over_pure_states,
     parabolic_refine,
 )

@@ -21,13 +21,18 @@ instrument parameters come out as
     gamma = sin(2 a) sin(phi),
     beta  = atan2(sin(2 a) cos(phi), cos(2 a)),
 
-and shifting phi by pi exchanges the two ports exactly, so a single
-physical port measured at phi and phi + pi realizes both outcomes.
+and shifting phi by pi exchanges the two ports (exactly in exact
+arithmetic), so a single physical port measured at phi and phi + pi
+realizes both outcomes.
 
 Dataset generation is deterministic given (config, seed): every (state,
 port) cell draws from its own substream keyed by the state index and the
-port's reduced phase, which makes the phi <-> phi + pi port swap an exact
-identity at the count level.  Estimators are pure functions of datasets.
+port's reduced phase, so the phi <-> phi + pi port swap maps the Kraus
+operators and the substream keys onto each other.  It is not exact at
+the count level: the Kraus pairs at phi and fl(phi + pi) differ in the
+last bits, which can flip a binomial draw at probability 1/2 and change
+the number of draws rejection sampling consumes.  Estimators are pure
+functions of datasets.
 """
 
 from __future__ import annotations

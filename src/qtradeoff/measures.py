@@ -26,8 +26,9 @@ maximum of a norm or a quadratic over the unit sphere, solved exactly
 with one 3x3 eigendecomposition and a bracketed root of the secular
 equation; their estimates carry ``method == "exact"``.  The averaged
 kind is one vectorised quadrature (``method == "quadrature"``).  Only the
-diamond kind still searches numerically, with the bipartite engine of
-:mod:`qtradeoff.supopt` (``method == "numeric"``).
+diamond kind still searches numerically (``method == "numeric"``), over
+the Bloch ball of the ancilla's reduced state with the Bloch-ball engine
+of :mod:`qtradeoff.supopt`.
 
 The random-sampling axiom checker takes an explicit seeded generator;
 concurrent calls with distinct generators are safe.
@@ -46,8 +47,8 @@ from scipy.optimize import brentq
 from .instruments import (
     NORMALIZATION_TOL, DiagonalFamilyParams, Instrument, Povm, povm_of,
     validate_instrument)
-from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, partial_trace, tensor, trace_norm
-from .supopt import ExtremumEstimate, maximize_over_bipartite_pure_states
+from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag
+from .supopt import ExtremumEstimate, maximize_over_bloch_ball
 
 __all__ = [
     "UnknownKind",
@@ -182,14 +183,11 @@ def _sphere_argmax(h, b):
     return q @ y
 
 
-def _bloch_angles(r):
-    return np.array([np.arccos(np.clip(r[2], -1.0, 1.0)),
-                     np.arctan2(r[1], r[0]) % (2.0 * np.pi)])
-
-
 def _exact(r, value):
     # Argmax as Bloch angles (theta, phi), like the numeric engine.
-    return ExtremumEstimate(_bloch_angles(r), float(value), 0.0, "exact")
+    angles = np.array([np.arccos(np.clip(r[2], -1.0, 1.0)),
+                       np.arctan2(r[1], r[0]) % (2.0 * np.pi)])
+    return ExtremumEstimate(angles, float(value), 0.0, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +238,18 @@ def _kraus_map(k1, k2):
     return lambda x: k1 @ x @ k1d + k2 @ x @ k2d
 
 
-def _channel_maps(channel):
-    """(T, extend): the channel as a function on 2x2 states, and a
-    builder of T (x) id on 4x4 operators (None for a bare callable, which
-    has no known bipartite form)."""
+def _channel_map(channel):
+    """(T, linear): the channel as a function on 2x2 operators, and
+    whether T is known to be linear on all of them, not only on states (a
+    bare callable is not; the diamond kind needs it)."""
     if isinstance(channel, Instrument):
-        k1, k2 = channel.k1, channel.k2
-        return _kraus_map(k1, k2), lambda: _kraus_map(np.kron(k1, ID2),
-                                                      np.kron(k2, ID2))
+        return _kraus_map(channel.k1, channel.k2), True
     if hasattr(channel, "weight") and hasattr(channel, "replacement"):
         w = float(channel.weight)
         rep = np.asarray(channel.replacement, dtype=complex)
-        return (lambda rho: w * rep * np.trace(rho) + (1.0 - w) * rho,
-                lambda: lambda x: (w * tensor(rep, partial_trace(x, "first"))
-                                   + (1.0 - w) * x))
+        return lambda x: w * rep * np.trace(x) + (1.0 - w) * x, True
     if callable(channel):
-        return channel, None
+        return channel, False
     raise TypeError(f"cannot interpret {type(channel).__name__} as a channel")
 
 
@@ -339,7 +333,7 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
     except ValueError as exc:
         raise UnknownKind(f"unknown disturbance measure kind {kind!r}") from exc
 
-    apply2, extend = _channel_maps(channel)
+    apply2, linear = _channel_map(channel)
     m, t = _bloch_affine(apply2)
 
     # T(rho) - rho = ((M - 1) r + t) . sigma / 2 is traceless, with trace
@@ -364,28 +358,53 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
         return ExtremumEstimate(np.empty(0), float(0.5 * dist @ weights),
                                 0.0, "quadrature")
 
-    # Diamond norm: maximize over bipartite pure inputs with an idle
-    # ancilla.  The exact worst single-qubit input, embedded as a product
-    # state, is always among the refinement starts, and the estimate is
-    # never below the worst-case trace-norm value.
-    if extend is None:
+    if not linear:
         raise TypeError(
             "diamond-norm disturbance needs an Instrument or a marginal "
             "channel spec; a bare callable has no bipartite extension")
-    r, worst = _worst_trace(m, t)
-    th, ph = _bloch_angles(r)
-    psi = np.array([np.cos(0.5 * th), np.exp(1j * ph) * np.sin(0.5 * th)])
-    extra = [np.kron(psi, e) for e in ([1.0, 0.0], [0.0, 1.0])]
-    apply4 = extend()
+    return _diamond(apply2, *_worst_trace(m, t), strategy)
 
-    def g(v):
-        xi = np.outer(v, v.conj())
-        return 0.5 * trace_norm(apply4(xi) - xi)
 
-    bi = maximize_over_bipartite_pure_states(g, strategy, extra_starts=extra)
-    if bi.value >= worst:
-        return bi
-    return ExtremumEstimate(bi.params, float(worst), bi.certified_gap)
+_PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+
+def _sqrt_states(points):
+    # sqrt((1 + r.sigma)/2) = a 1 + (r.sigma) / (4 a) with
+    # a = (sqrt(lam+) + sqrt(lam-)) / 2 over the eigenvalues (1 +- |r|)/2,
+    # for an (N, 3) array of Bloch vectors; no division by |r|.
+    n = np.linalg.norm(points, axis=1)
+    a = 0.5 * (np.sqrt(0.5 * (1.0 + n)) + np.sqrt(np.maximum(0.0, 0.5 * (1.0 - n))))
+    return (a[:, None, None] * ID2
+            + np.einsum("nk,kij->nij", points / (4.0 * a[:, None]), _PAULIS))
+
+
+def _diamond(apply2, r_worst, worst, strategy):
+    """(1/2)||T - id||_<> as a search over the ancilla state sigma.
+
+    The input (1 (x) sqrt(sigma))|Omega> gives the output
+    (1 (x) sqrt(sigma)) J (1 (x) sqrt(sigma)), J the Choi matrix of T - id
+    (output first, input copy second); every pure input with ancilla
+    state sigma differs from it by an ancilla unitary, which the trace
+    norm does not see (Watrous, arXiv:1207.5726).  The pure sigma that
+    puts the system in the worst single-qubit state (the complex
+    conjugate: y mirrored) is a refinement start, and the value is never
+    below the worst-case trace norm.  ``params`` holds the 8 reals of the
+    maximizing input, as the bipartite oracle returns them.
+    """
+    j = sum(np.kron(apply2(e) - e, e)
+            for e in np.eye(4, dtype=complex).reshape(4, 2, 2))
+
+    def objective(points):
+        s4 = np.zeros((len(points), 4, 4), dtype=complex)
+        s4[:, :2, :2] = s4[:, 2:, 2:] = _sqrt_states(points)
+        return 0.5 * np.abs(np.linalg.eigvalsh(s4 @ j @ s4)).sum(axis=1)
+
+    mirrored = r_worst * np.array([1.0, -1.0, 1.0])
+    est = maximize_over_bloch_ball(objective, strategy, extra_starts=[mirrored])
+    v = _sqrt_states(est.params[None, :])[0].T.ravel()
+    v /= np.linalg.norm(v)
+    return ExtremumEstimate(np.concatenate([v.real, v.imag]),
+                            max(est.value, float(worst)), est.certified_gap)
 
 
 def disturbance(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
@@ -507,7 +526,7 @@ def check_measure_axioms(samples: int, rng) -> AxiomReport:
             abs(measurement_error(rotated) - d_m))
 
         ins_a, ins_b = _random_instrument(rng), _random_instrument(rng)
-        fa, fb = _channel_maps(ins_a)[0], _channel_maps(ins_b)[0]
+        fa, fb = _channel_map(ins_a)[0], _channel_map(ins_b)[0]
         da = disturbance(fa)
         db = disturbance(fb)
         dmix = disturbance(lambda rho: lam * fa(rho) + (1 - lam) * fb(rho))

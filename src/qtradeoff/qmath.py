@@ -1,10 +1,8 @@
 """Fixed-size complex linear algebra for one- and two-qubit operators.
 
 All operators are plain numpy arrays: 2x2 for single-qubit objects and 4x4
-for two-qubit objects.  numpy is used for array arithmetic only; the
-Hermitian eigensolver is self-contained (a closed-form solve at size 2 and
-a cyclic complex Jacobi iteration at size 4), so no general-purpose
-eigenvalue routine is required.
+for two-qubit objects.  The Hermitian eigenvalues are a closed form at
+size 2 and ``numpy.linalg.eigvalsh`` at size 4.
 
 Tensor index convention: the first factor is the slow index, i.e.
 ``tensor(a, b)[(i, k), (j, l)] == a[i, j] * b[k, l]`` with the pair
@@ -50,9 +48,6 @@ del _i, _j
 
 # Relative Hermiticity tolerance: ||m - m^dag||_F <= HERMITICITY_RTOL * ||m||_F.
 HERMITICITY_RTOL = 1e-10
-
-_JACOBI_OFF_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 60
 
 
 class NotHermitian(ValueError):
@@ -122,54 +117,6 @@ def _eigvals2(h):
     return np.array([mid + r, mid - r])
 
 
-def _offdiag_norm(a):
-    off = a - np.diag(np.diag(a))
-    return np.linalg.norm(off)
-
-
-def _jacobi_eigvals(h):
-    # Cyclic complex Jacobi iteration; robust at this fixed tiny size.
-    a = h.copy()
-    n = a.shape[0]
-    tol = _JACOBI_OFF_TOL * max(1.0, np.linalg.norm(a))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                b = abs(apq)
-                if b < 1e-300:
-                    continue
-                phase = apq / b
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * b)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary rotation with block [[c, s*phase], [-s*conj(phase), c]]
-                # on rows/columns (p, q); chosen to zero a[p, q].
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-    return np.real(np.diag(a))
-
-
 def herm_eigvals(m):
     """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, sorted descending.
 
@@ -181,10 +128,8 @@ def herm_eigvals(m):
     _check_hermitian(a, "m")
     h = 0.5 * (a + a.conj().T)
     if h.shape == (2, 2):
-        vals = _eigvals2(h)
-    else:
-        vals = _jacobi_eigvals(h)
-    return np.sort(vals)[::-1]
+        return _eigvals2(h)
+    return np.linalg.eigvalsh(h)[::-1]
 
 
 def trace_norm(m):

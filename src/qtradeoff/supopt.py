@@ -1,5 +1,6 @@
-"""Supremum engine: maximize scalar objectives over pure qubit states and
-over bipartite (two-qubit) pure states, plus a parabolic extremum fit.
+"""Supremum engine: maximize scalar objectives over the Bloch ball, over
+pure qubit states and over bipartite (two-qubit) pure states, plus a
+parabolic extremum fit.
 
 Strategy: a coarse deterministic scan brackets the maximum, then
 Nelder-Mead refinement is started from the best candidates.  Derivative
@@ -9,9 +10,11 @@ coarse-scan value, and identical inputs always give identical outputs
 (multistart candidates derive deterministically from the strategy).
 
 The measures compute their state suprema exactly
-(:mod:`qtradeoff.measures`); the bipartite search serves only the
-diamond-norm kind, and :func:`maximize_over_pure_states` is kept as the
-independent oracle the tests check the exact suprema against.
+(:mod:`qtradeoff.measures`).  The Bloch-ball search serves only the
+diamond-norm kind, whose bipartite supremum reduces to a search over the
+reduced state of the ancilla.  :func:`maximize_over_pure_states` and
+:func:`maximize_over_bipartite_pure_states` are kept as the independent
+oracles the tests check the measures against.
 
 Objectives must be pure functions; the engine may evaluate them from
 multiple threads.
@@ -30,6 +33,7 @@ __all__ = [
     "SupremumStrategy",
     "ExtremumEstimate",
     "DegenerateFit",
+    "maximize_over_bloch_ball",
     "maximize_over_pure_states",
     "maximize_over_bipartite_pure_states",
     "parabolic_refine",
@@ -44,9 +48,9 @@ class DegenerateFit(ValueError):
 class SupremumStrategy:
     """Knobs for the coarse-scan + refine maximizers.
 
-    coarse_grid_points is the number of samples per angle (the bipartite
-    maximizer draws coarse_grid_points^2 seeded random directions
-    instead of a mesh).  refine_iterations bounds the Nelder-Mead
+    coarse_grid_points is the number of samples per angle (the Bloch-ball
+    and bipartite maximizers draw coarse_grid_points^2 seeded random
+    points instead of a mesh).  refine_iterations bounds the Nelder-Mead
     iteration count per parameter.
     """
 
@@ -65,14 +69,14 @@ class SupremumStrategy:
 
 @dataclass(frozen=True)
 class ExtremumEstimate:
-    """Result of a maximization: argmax parameters, value, and the gap
-    between the best coarse-scan value and the refined value (<= 0 means
-    refinement only improved).
+    """Result of a maximization: argmax parameters, value and gap.
 
     ``method`` says how the value was obtained: ``"exact"`` (closed-form
     or secular-equation supremum; ``certified_gap`` is 0), ``"quadrature"``
     (a fixed quadrature rule, not a supremum; ``certified_gap`` is 0) or
-    ``"numeric"`` (scan plus refinement).
+    ``"numeric"`` (scan plus refinement).  For ``"numeric"``,
+    ``certified_gap`` is the best coarse-scan value minus the refined value
+    (<= 0 means refinement only improved); it bounds nothing.
     """
 
     params: np.ndarray
@@ -93,6 +97,52 @@ def _refine(neg, x0, strategy):
     return minimize(neg, x0, method="Nelder-Mead", options=opts)
 
 
+def _seeded_rng(s, entropy):
+    seed = np.random.SeedSequence(
+        entropy=entropy,
+        spawn_key=(s.coarse_grid_points, s.refine_iterations, s.multistarts),
+    )
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _multistart(neg, params, vals, extra_starts, s, decode):
+    # Refine from the `multistarts` best scanned params, then from the
+    # extra starts; never return less than the best scanned value.
+    order = np.argsort(vals, kind="stable")[::-1]
+    grid_best = float(vals[order[0]])
+    best_val, best = grid_best, params[order[0]]
+    for x0 in [params[i] for i in order[: s.multistarts]] + list(extra_starts):
+        res = _refine(neg, x0, s)
+        if -res.fun > best_val:
+            best_val, best = float(-res.fun), decode(res.x)
+    return ExtremumEstimate(best, best_val, grid_best - best_val)
+
+
+def _into_ball(x):
+    n = np.linalg.norm(x)
+    return x / n if n > 1.0 else x
+
+
+def maximize_over_bloch_ball(f, strategy=None, extra_starts=()) -> ExtremumEstimate:
+    """Maximize f over Bloch vectors r with |r| <= 1; ``params`` is the
+    best r.
+
+    f is vectorised, mapping an (N, 3) array of points to N values.  The
+    coarse stage evaluates coarse_grid_points^2 seeded uniform points in
+    one batch; refinement also starts from the centre and any
+    ``extra_starts``, and projects points outside the ball radially onto
+    its surface.
+    """
+    s = strategy or DEFAULT_STRATEGY
+    rng = _seeded_rng(s, 0xB10C_BA11)
+    points = rng.standard_normal((s.coarse_grid_points**2, 3))
+    points *= (rng.uniform(size=len(points)) ** (1.0 / 3.0)
+               / np.linalg.norm(points, axis=1))[:, None]
+    starts = [np.zeros(3)] + [np.asarray(r, dtype=float) for r in extra_starts]
+    return _multistart(lambda x: -f(_into_ball(x)[None, :])[0], points,
+                       np.asarray(f(points), dtype=float), starts, s, _into_ball)
+
+
 def maximize_over_pure_states(f, strategy=None) -> ExtremumEstimate:
     """Maximize f(rho) over pure qubit states rho.
 
@@ -101,33 +151,13 @@ def maximize_over_pure_states(f, strategy=None) -> ExtremumEstimate:
     """
     s = strategy or DEFAULT_STRATEGY
     n = s.coarse_grid_points
-    thetas = np.linspace(0.0, np.pi, n)
-    phis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-
-    vals = np.empty((n, n))
-    for i, th in enumerate(thetas):
-        for j, ph in enumerate(phis):
-            vals[i, j] = f(pure_state(th, ph))
-
-    flat = vals.ravel()
-    order = np.argsort(flat, kind="stable")[::-1]
-    grid_best = float(flat[order[0]])
-
-    best_val = grid_best
-    i0, j0 = np.unravel_index(order[0], vals.shape)
-    best_params = np.array([thetas[i0], phis[j0]])
-
-    def neg(x):
-        return -f(pure_state(x[0], x[1]))
-
-    for idx in order[: s.multistarts]:
-        i, j = np.unravel_index(idx, vals.shape)
-        res = _refine(neg, np.array([thetas[i], phis[j]]), s)
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_params = np.asarray(res.x, dtype=float)
-
-    return ExtremumEstimate(best_params, best_val, grid_best - best_val)
+    th, ph = np.meshgrid(np.linspace(0.0, np.pi, n),
+                         np.linspace(0.0, 2.0 * np.pi, n, endpoint=False),
+                         indexing="ij")
+    params = np.column_stack([th.ravel(), ph.ravel()])
+    vals = np.array([f(pure_state(*x)) for x in params])
+    return _multistart(lambda x: -f(pure_state(x[0], x[1])), params, vals,
+                       (), s, lambda x: np.asarray(x, dtype=float))
 
 
 _BELL_STATES = np.array(
@@ -143,62 +173,37 @@ _BELL_STATES = np.array(
 _BASIS4 = np.eye(4, dtype=complex)
 
 
-def _vec_of(x):
-    v = x[:4] + 1j * x[4:]
-    n = np.linalg.norm(v)
-    if n < 1e-12:
-        return None
-    return v / n
+def _reals(v):
+    # 8 reals (real parts, then imaginary parts) of v normalized.
+    v = np.asarray(v, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return np.concatenate([v.real, v.imag])
 
 
 def maximize_over_bipartite_pure_states(f, strategy=None, extra_starts=()) -> ExtremumEstimate:
     """Maximize f(v) over unit vectors v in C^4 (modulo global phase).
 
-    f receives a normalized complex 4-vector.  The coarse stage uses
+    f receives a normalized complex 4-vector; ``params`` holds the real
+    parts, then the imaginary parts, of the best v.  The coarse stage uses
     coarse_grid_points^2 seeded Gaussian directions; refinement always
     also starts from the computational basis vectors, the four maximally
     entangled (Bell) vectors, and any caller-supplied ``extra_starts``.
     """
     s = strategy or DEFAULT_STRATEGY
-    n_samples = s.coarse_grid_points**2
-    seed = np.random.SeedSequence(
-        entropy=0x51B0_11AD,
-        spawn_key=(s.coarse_grid_points, s.refine_iterations, s.multistarts),
-    )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    raw = rng.standard_normal((n_samples, 8))
+    rng = _seeded_rng(s, 0x51B0_11AD)
+    raw = rng.standard_normal((s.coarse_grid_points**2, 8))
     samples = raw[:, :4] + 1j * raw[:, 4:]
     samples /= np.linalg.norm(samples, axis=1)[:, None]
 
-    vals = np.array([f(v) for v in samples])
-    order = np.argsort(vals, kind="stable")[::-1]
-    grid_best = float(vals[order[0]])
-
-    starts = [samples[i] for i in order[: s.multistarts]]
-    starts.extend(_BASIS4)
-    starts.extend(_BELL_STATES)
-    starts.extend(np.asarray(v, dtype=complex) for v in extra_starts)
-
-    best_val = grid_best
-    best_vec = samples[order[0]]
-
     def neg(x):
-        v = _vec_of(x)
-        if v is None:
-            return np.inf
-        return -f(v)
+        v = x[:4] + 1j * x[4:]
+        n = np.linalg.norm(v)
+        return np.inf if n < 1e-12 else -f(v / n)
 
-    for v0 in starts:
-        v0 = v0 / np.linalg.norm(v0)
-        x0 = np.concatenate([v0.real, v0.imag])
-        res = _refine(neg, x0, s)
-        v = _vec_of(res.x)
-        if v is not None and -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_vec = v
-
-    params = np.concatenate([best_vec.real, best_vec.imag])
-    return ExtremumEstimate(params, best_val, grid_best - best_val)
+    starts = [_reals(v) for v in (*_BASIS4, *_BELL_STATES, *extra_starts)]
+    return _multistart(neg, np.concatenate([samples.real, samples.imag], axis=1),
+                       np.array([f(v) for v in samples]), starts, s,
+                       lambda x: _reals(x[:4] + 1j * x[4:]))
 
 
 def parabolic_refine(points) -> ExtremumEstimate:

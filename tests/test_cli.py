@@ -128,6 +128,21 @@ def test_eval_diagonal_half(tmp_path, capsys):
     assert result["Delta"] == pytest.approx(0.066987298, abs=1e-8)
 
 
+def test_eval_diamond_optimal(tmp_path, capsys):
+    f = tmp_path / "ins.json"
+    f.write_text(json.dumps({"family": "optimal", "gamma": 0.5, "beta": 0.0}))
+    code, out = run_cli(capsys, "eval", "--instrument", str(f),
+                        "--kind", "diamond")
+    assert code == 0
+    result = json.loads(out)
+    assert result["kind"] == "diamond"
+    # on the optimal family the diamond value is the worst-case trace value
+    assert result["Delta"] == pytest.approx(0.5 * (1.0 - np.sqrt(0.75)), abs=1e-10)
+    pairs = result["argmax_states"]["Delta"]["bipartite_vector"]
+    assert len(pairs) == 4 and all(len(p) == 2 for p in pairs)
+    assert sum(re * re + im * im for re, im in pairs) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_eval_rejects_unnormalized_raw(tmp_path, capsys):
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     f = tmp_path / "bad.json"

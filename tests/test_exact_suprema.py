@@ -5,6 +5,11 @@ Every exact kind is cross-checked against ``maximize_over_pure_states``
 here from 2x2 matrices and ``numpy.linalg.eigvalsh`` only.  The exact value
 is a true supremum, so it may exceed the oracle by its convergence error
 but may not fall below it by more than rounding.
+
+The diamond kind's Bloch-ball search is cross-checked the same way against
+``maximize_over_bipartite_pure_states`` on the 4x4 objective
+(1/2)||(T (x) id)(v v^dag) - v v^dag||_1, built here from the Kraus pair
+or the replacement form.
 """
 
 import numpy as np
@@ -13,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtradeoff.instruments import (
+    Instrument,
     OptimalFamilyParams,
     Povm,
     apply_channel,
@@ -31,12 +37,19 @@ from qtradeoff.measures import (
 from qtradeoff.qmath import SIGMA_X, SIGMA_Y, SIGMA_Z, dag
 from qtradeoff.schemes import MarginalChannelSpec
 from qtradeoff.states import bloch_to_density, pure_state
-from qtradeoff.supopt import SupremumStrategy, maximize_over_pure_states
+from qtradeoff.supopt import (
+    SupremumStrategy,
+    maximize_over_bipartite_pure_states,
+    maximize_over_pure_states,
+)
 
 DENSE = SupremumStrategy(coarse_grid_points=48, refine_iterations=200,
                          tolerance=1e-12, multistarts=8)
 EXACT_KINDS = (MeasureKind.WORST_TRACE, MeasureKind.WORST_HS,
                MeasureKind.WORST_INFIDELITY)
+# The strategy of tests/test_measures.py, for the bipartite oracle.
+FAST = SupremumStrategy(coarse_grid_points=24, refine_iterations=60,
+                        tolerance=1e-8, multistarts=4)
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -235,6 +248,74 @@ def test_averaged_ball_matches_scalar_loop():
                                 average_domain="ball").value
     assert ball == pytest.approx(
         loop_average(spec.apply, radii, 1.5 * radii**2 * w), abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# diamond kind: the Bloch-ball search against the bipartite oracle
+# ---------------------------------------------------------------------------
+
+def bipartite_objective(channel):
+    # (T (x) id) on 4x4 operators, system first, from numpy only.
+    if isinstance(channel, Instrument):
+        kraus = [np.kron(k, np.eye(2)) for k in (channel.k1, channel.k2)]
+
+        def apply4(x):
+            return sum(k @ x @ k.conj().T for k in kraus)
+    else:
+        def apply4(x):
+            ancilla = np.einsum("kikj->ij", x.reshape(2, 2, 2, 2))
+            return (channel.weight * np.kron(channel.replacement, ancilla)
+                    + (1.0 - channel.weight) * x)
+
+    def f(v):
+        xi = np.outer(v, v.conj())
+        return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(apply4(xi) - xi)))
+
+    return f
+
+
+def check_diamond(channel, oracle=True):
+    est = disturbance_estimate(channel, MeasureKind.DIAMOND)
+    f = bipartite_objective(channel)
+    assert est.method == "numeric" and est.params.shape == (8,)
+    v = est.params[:4] + 1j * est.params[4:]
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    # the returned input attains the value on the 4x4 objective
+    assert f(v) == pytest.approx(est.value, abs=1e-12)
+    worst = disturbance_estimate(channel).value
+    assert est.value >= worst - 1e-12
+    if oracle:
+        bi = maximize_over_bipartite_pure_states(f, FAST).value
+        assert est.value >= bi - 1e-9
+        assert abs(est.value - bi) <= 1e-6
+    return est.value, worst
+
+
+@PROPERTY
+@given(seeds)
+def test_diamond_random_instruments(seed):
+    check_diamond(_random_instrument(np.random.default_rng(seed)))
+
+
+@PROPERTY
+@given(seeds)
+def test_diamond_random_replacement_channels(seed):
+    check_diamond(random_replacement(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("w", [0.0, 0.3, 1.0])
+def test_diamond_maximally_mixed_replacement(w):
+    # The maximally entangled input attains 3/4 of the weight.
+    value, _ = check_diamond(MarginalChannelSpec(w, 0.5 * np.eye(2)),
+                             oracle=False)
+    assert value == pytest.approx(0.75 * w, abs=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_diamond_optimal_family_equals_worst_case(gamma):
+    ins = make_optimal_instrument(OptimalFamilyParams(gamma))
+    value, worst = check_diamond(ins, oracle=False)
+    assert value == pytest.approx(worst, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

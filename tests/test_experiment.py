@@ -380,6 +380,27 @@ def test_port_equivalence_of_estimates():
     assert abs(e1.Delta_hat - e2.Delta_hat) < 1e-9
 
 
+def swapped_cells(phi, alpha=0.4, seed=3):
+    # Cells whose counts differ between phi and phi + pi, ports exchanged.
+    d1, d2 = (simulate_dataset(ExperimentConfig(
+        setting=InterferometerSetting(alpha, p), seed=seed))
+        for p in (phi, phi + np.pi))
+    m1 = {(r.theta_deg, r.port, r.basis): (r.n_plus, r.n_minus, r.intensity)
+          for r in d1.records}
+    m2 = {(r.theta_deg, 3 - r.port, r.basis): (r.n_plus, r.n_minus, r.intensity)
+          for r in d2.records}
+    return [k for k in m1 if m1[k] != m2[k]]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the Kraus pairs at phi and fl(phi + pi) differ in the "
+    "last bits, so a y-basis probability of 0.5 +- 1e-17 draws mirrored "
+    "binomial counts and rejection sampling shifts the intensity draw; "
+    "7 of 96 cells differ at phi = pi/2 (see ROADMAP, Known defects)"))
+def test_port_swap_counts_at_quarter_turn():
+    assert swapped_cells(0.5 * np.pi) == []
+
+
 def test_noisy_estimates_reasonably_close():
     s = setting_for_gamma(0.5)
     d_ref, dd_ref = analytic_tradeoff_of_setting(s)

