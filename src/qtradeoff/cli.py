@@ -43,6 +43,8 @@ from .measures import (
     HS_TO_TRACE_NORM_SCALE,
     MeasureKind,
     UnknownKind,
+    diagonal_disturbance_closed_form,
+    diagonal_measurement_error_closed_form,
     disturbance_estimate,
     measurement_error_estimate,
 )
@@ -81,10 +83,11 @@ def _sweep_point(scheme, value, kind):
         delta = 0.5 * (1.0 - value)
         base = 0.5 * (1.0 - np.sqrt(1.0 - value**2))
     elif scheme == "diagonal":
-        ins = make_diagonal_instrument(DiagonalFamilyParams(value, value))
+        params = DiagonalFamilyParams(value, value)
+        ins = make_diagonal_instrument(params)
         povm, channel = povm_of(ins), ins
-        delta = value * value
-        base = 0.5 * abs(1.0 - 2.0 * value * np.sqrt(1.0 - value * value))
+        delta = diagonal_measurement_error_closed_form(params)
+        base = diagonal_disturbance_closed_form(params)
     elif scheme == "cloner":
         p = schemes.ClonerParams.from_a2(value)
         povm = schemes.cloner_induced_povm(p)

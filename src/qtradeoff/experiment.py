@@ -27,12 +27,13 @@ realizes both outcomes.
 
 Dataset generation is deterministic given (config, seed): every (state,
 port) cell draws from its own substream keyed by the state index and the
-port's reduced phase, so the phi <-> phi + pi port swap maps the Kraus
-operators and the substream keys onto each other.  It is not exact at
-the count level: the Kraus pairs at phi and fl(phi + pi) differ in the
-last bits, which can flip a binomial draw at probability 1/2 and change
-the number of draws rejection sampling consumes.  Estimators are pure
-functions of datasets.
+port's phase mod 2 pi, rounded to 1e-12 rad, so the phi <-> phi + pi port
+swap maps the Kraus operators and (away from the rounding half steps) the
+substream keys onto each other.  It is not exact at the count level: the
+Kraus pairs at phi and fl(phi + pi) differ in the last bits, which can
+flip a binomial draw at probability 1/2 and change the number of draws
+rejection sampling consumes.  Estimators are pure functions of datasets;
+the target curve of the error estimate is fitted in closed form.
 """
 
 from __future__ import annotations
@@ -41,15 +42,16 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .instruments import Instrument, povm_of, validate_instrument
 from .measures import (
+    _sphere_argmax,
     diagonal_channel_disturbance_exact,
     measurement_error,
 )
-from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .states import density_to_bloch, linear_pol_state, sm7_state_list
+from .qmath import ID2, SIGMA_Z
+from .states import (bloch_to_density, density_to_bloch, linear_pol_state,
+                     sm7_state_list)
 from .supopt import DegenerateFit, parabolic_refine
 
 __all__ = [
@@ -111,8 +113,8 @@ class ExperimentConfig:
     selects the exact (infinite-statistics) mode, in which the dataset
     stores expected frequencies instead of integer counts.
     ``intensity_noise`` is the relative std of a Gaussian factor applied
-    to the port intensities.  ``fit_amplitude`` switches the target-curve
-    fit from offset-only to offset plus amplitude.
+    to the port intensities.  ``fit_amplitude`` compares the data with the
+    fitted target curve, not the unit-amplitude one, in the error estimate.
     """
 
     setting: InterferometerSetting
@@ -233,10 +235,11 @@ def analytic_tradeoff_of_setting(s: InterferometerSetting):
 # ---------------------------------------------------------------------------
 
 def _port_stream(seed, theta_index, phase):
-    # Key the substream by the port's reduced phase so that the
-    # phi <-> phi + pi port exchange maps streams onto each other.
+    # Key the substream by the port's reduced phase so that the phi <->
+    # phi + pi port exchange maps streams onto each other; a phase just
+    # below 2 pi k rounds up to a full turn, which keys like 0.
     reduced = float(phase) % (2.0 * np.pi)
-    key = int(round(reduced * 1e12)) % (2**63)
+    key = int(round(reduced * 1e12)) % round(2.0 * np.pi * 1e12)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(theta_index, key))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -335,10 +338,8 @@ def reconstruct_branch_states(d: SimulatedDataset):
             norm = np.linalg.norm(means)
             if norm > 1.0:
                 means = [m / norm for m in means]
-            rho = 0.5 * (ID2 + means[0] * SIGMA_X + means[1] * SIGMA_Y
-                         + means[2] * SIGMA_Z)
-            p = intensities[(theta, port)] / total_i
-            out[(theta, port)] = BranchEstimate(rho, float(p))
+            p = float(intensities[(theta, port)] / total_i)
+            out[(theta, port)] = BranchEstimate(bloch_to_density(means), p)
     return out
 
 
@@ -364,34 +365,22 @@ def _fit_target(thetas_deg, p1_hat):
     model (1 + A cos(theta - theta0)) / 2, amplitude and offset free;
     this identifies the measurement axis even for weakly informative
     instruments, where fitting the unit-amplitude ideal curve directly
-    would rotate the axis to soak up the amplitude mismatch.  For fixed
-    theta0 the optimal amplitude is linear least squares in closed form.
-    Returns (theta0 in [0, 360), fitted amplitude in [0, 1]).
+    would rotate the axis to soak up the amplitude mismatch.  With
+    y = 2 p1 - 1 = u cos theta + v sin theta this is least squares for
+    w = (u, v) on the unit disk, in closed form: the unconstrained
+    (minimum-norm) solution, or the rim solution of :func:`_sphere_argmax`
+    when that lies outside.  Returns (theta0 = atan2(v, u) in [0, 360),
+    A = |w| in [0, 1]).
     """
-    thetas_deg = np.asarray(thetas_deg)
-    p1_hat = np.asarray(p1_hat)
-    resid = p1_hat - 0.5
-
-    def best_amp(t0):
-        c = np.cos(np.deg2rad(thetas_deg - t0))
-        denom = np.sum(c * c)
-        if denom <= 0.0:
-            return 0.0
-        return float(min(max(2.0 * np.sum(resid * c) / denom, 0.0), 1.0))
-
-    def sse(t0, amp):
-        return float(np.sum(
-            (p1_hat - _target_model(thetas_deg, t0, amp)) ** 2))
-
-    scan = np.arange(0.0, 360.0, 0.25)
-    costs = [sse(t0, best_amp(t0)) for t0 in scan]
-    t0 = float(scan[int(np.argmin(costs))])
-
-    res = minimize(lambda x: sse(x[0], best_amp(x[0])), np.array([t0]),
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-18, "maxiter": 400})
-    theta0 = float(res.x[0]) % 360.0
-    return theta0, best_amp(theta0)
+    ang = np.deg2rad(np.asarray(thetas_deg))
+    x = np.column_stack([np.cos(ang), np.sin(ang)])
+    y = 2.0 * np.asarray(p1_hat) - 1.0
+    w = np.linalg.lstsq(x, y, rcond=None)[0]
+    if w @ w > 1.0:
+        w = _sphere_argmax(-x.T @ x, x.T @ y)
+    # A tiny negative angle reduces to 360.0, outside [0, 360).
+    theta0 = float(np.rad2deg(np.arctan2(w[1], w[0]))) % 360.0
+    return (0.0 if theta0 == 360.0 else theta0), min(float(np.hypot(*w)), 1.0)
 
 
 def _parabola_near_max(thetas, values, window_deg=25.0):
@@ -420,7 +409,7 @@ def estimate_delta(d: SimulatedDataset):
 
     The best fitting target measurement is the ideal projective curve
     p1(theta) = cos^2((theta - theta0)/2) at the orientation theta0
-    identified by the least-squares fit of :func:`_fit_target`; the
+    identified by the closed-form fit of :func:`_fit_target`; the
     estimate is the largest outcome-distribution distance over the
     prepared states.  With ``fit_amplitude`` set, the comparison curve
     keeps the fitted amplitude instead of the ideal unit amplitude (a
@@ -463,15 +452,10 @@ def estimate_Delta(d: SimulatedDataset):
 
 def _Delta_from_branches(d, branches):
     thetas = np.asarray(d.config.thetas)
-    dists = []
-    for t in thetas:
-        diff = _channel_output(branches, t) - linear_pol_state(t)
-        a = diff[0, 0].real
-        c = diff[1, 1].real
-        r = np.hypot(0.5 * (a - c), abs(diff[0, 1]))
-        mid = 0.5 * (a + c)
-        dists.append(0.5 * (abs(mid + r) + abs(mid - r)))
-    dists = np.asarray(dists)
+    # The trace distance of two qubit states is half the Euclidean
+    # distance of their Bloch vectors.
+    dists = np.array([0.5 * np.linalg.norm(density_to_bloch(
+        _channel_output(branches, t) - linear_pol_state(t))) for t in thetas])
     i_max = int(np.argmax(dists))
     diag = {
         "argmax_theta_deg": float(thetas[i_max]),

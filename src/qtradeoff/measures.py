@@ -144,7 +144,7 @@ def _bloch_affine(apply2):
 
 
 def _sphere_argmax(h, b):
-    """Unit vector r maximizing r.h.r + 2 b.r for a symmetric 3x3 h.
+    """Unit vector r maximizing r.h.r + 2 b.r for a symmetric n x n h.
 
     The global maximizer solves (lam - h) r = b with lam at or above the
     top eigenvalue of h (Gander, Golub & von Matt 1989; More & Sorensen
@@ -173,13 +173,13 @@ def _sphere_argmax(h, b):
         # secular > 0 at the lower end of the bracket, < 0 at the upper.
         lam = brentq(secular, top_val + 0.5 * beta_top,
                      top_val + 2.0 * float(np.linalg.norm(b)), xtol=1e-15)
-    y = np.zeros(3)
+    y = np.zeros(len(b))
     y[~top] = tail_beta / (lam - top_val + tail_gap)
     norm_top = np.sqrt(max(0.0, 1.0 - float(y @ y)))
     if beta_top > 0.0:
         y[top] = norm_top * beta[top] / beta_top
     else:
-        y[2] = norm_top
+        y[-1] = norm_top
     return q @ y
 
 
