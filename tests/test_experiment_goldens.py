@@ -20,6 +20,7 @@ from qtradeoff.experiment import (
     reconstruct_branch_states,
     simulate_dataset,
 )
+from test_target_fit import circular_distance_deg, sse
 
 
 def alpha_for(gamma):
@@ -87,16 +88,6 @@ GOLDENS = {
 }
 
 
-def circular_distance_deg(a, b):
-    d = (a - b) % 360.0
-    return min(d, 360.0 - d)
-
-
-def target_sse(thetas, p1_hat, theta0_deg, amplitude):
-    model = 0.5 * (1.0 + amplitude * np.cos(np.deg2rad(thetas - theta0_deg)))
-    return float(np.sum((p1_hat - model) ** 2))
-
-
 @pytest.mark.parametrize("name", list(GOLDENS))
 def test_golden_dataset_and_estimates(name):
     config, sha, delta_hat, Delta_hat, theta0, amplitude = GOLDENS[name]
@@ -114,5 +105,5 @@ def test_golden_dataset_and_estimates(name):
     thetas = np.asarray(d.config.thetas)
     branches = reconstruct_branch_states(d)
     p1_hat = np.array([branches[(t, 1)].probability for t in thetas])
-    assert (target_sse(thetas, p1_hat, diag["theta0_deg"], diag["amplitude"])
-            <= target_sse(thetas, p1_hat, theta0, amplitude) + 1e-15)
+    assert (sse(thetas, p1_hat, diag["theta0_deg"], diag["amplitude"])
+            <= sse(thetas, p1_hat, theta0, amplitude) + 1e-15)
