@@ -34,12 +34,19 @@ Kraus pairs at phi and fl(phi + pi) differ in the last bits, which can
 flip a binomial draw at probability 1/2 and change the number of draws
 rejection sampling consumes.  Estimators are pure functions of datasets;
 the target curve of the error estimate is fitted in closed form.
+
+A dataset is a tuple of per-cell records, but each stage makes one array
+pass over all prepared states: one batched product for the branch states
+(only the draws go cell by cell), one parse of the records into count
+arrays for the tomography, and one record template for the writer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -244,53 +251,52 @@ def _port_stream(seed, theta_index, phase):
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _branch(ins, rho, port):
-    k = ins.k1 if port == 1 else ins.k2
-    out = k @ rho @ k.conj().T
-    p = float(np.trace(out).real)
-    if p > 1e-12:
-        return out / p, p
-    return 0.5 * ID2, max(p, 0.0)
+def _branch_blochs(ins, thetas):
+    """Bloch vectors (N, 2, 3) and probabilities (N, 2) of the two port
+    branches at the linear polarization angles ``thetas`` (degrees).
+
+    One batched k rho k^H over states and ports; a branch of probability
+    at most 1e-12 reads as I/2.
+    """
+    k = np.stack([ins.k1, ins.k2])
+    out = k @ linear_pol_state(thetas)[:, None] @ k.conj().transpose(0, 2, 1)
+    p = out[..., 0, 0].real + out[..., 1, 1].real
+    live = p > 1e-12
+    bloch = density_to_bloch(out / np.where(live, p, 1.0)[..., None, None])
+    return np.where(live[..., None], bloch, 0.0), np.maximum(p, 0.0)
 
 
 def simulate_dataset(cfg: ExperimentConfig) -> SimulatedDataset:
     """Generate per-(state, port, basis) counts for the configured run.
 
-    For each prepared state the two port branches are sampled in the
-    three Pauli analysis bases with ``shots_per_basis`` samples each, and
-    a separate intensity count measures the port probability.  Exact mode
-    (``shots_per_basis=None``) stores expected frequencies.  Deterministic
-    given the config.
+    The branch states of all prepared states come from one batched pass
+    (:func:`_branch_blochs`).  Each (state, port) cell then draws from its
+    own substream, in this order: the three Pauli analysis bases with
+    ``shots_per_basis`` samples each, an intensity count of the port
+    probability, and the optional intensity noise factor.  Exact mode
+    (``shots_per_basis=None``) stores expected frequencies and draws
+    nothing.  Deterministic given the config.
     """
     ins = instrument_from_setting(cfg.setting)
-    exact = cfg.shots_per_basis is None
+    blochs, probs = _branch_blochs(ins, cfg.thetas)
+    plus = np.clip(0.5 * (1.0 + blochs), 0.0, 1.0)
     n = cfg.shots_per_basis
     records = []
     for ti, theta in enumerate(cfg.thetas):
-        rho = linear_pol_state(theta)
         for port in (1, 2):
-            branch_rho, p = _branch(ins, rho, port)
-            bloch = density_to_bloch(branch_rho)
-            rng = None
-            if not exact:
-                rng = _port_stream(cfg.seed, ti, cfg.setting.phi + (port - 1) * np.pi)
-            plus_probs = np.clip(0.5 * (1.0 + bloch), 0.0, 1.0)
-            cells = []
-            for b, pp in zip(_BASES, plus_probs):
-                if exact:
-                    cells.append((b, pp, 1.0 - pp))
-                else:
-                    n_plus = int(rng.binomial(n, pp))
-                    cells.append((b, n_plus, n - n_plus))
-            if exact:
-                intensity = p
+            pp, p = plus[ti, port - 1], probs[ti, port - 1]
+            if n is None:
+                cells = [(q, 1.0 - q) for q in pp]
+                intensity = float(p)
             else:
-                intensity = int(rng.binomial(n, np.clip(p, 0.0, 1.0)))
+                rng = _port_stream(cfg.seed, ti, cfg.setting.phi + (port - 1) * np.pi)
+                cells = [(k, n - k) for k in (int(rng.binomial(n, q)) for q in pp)]
+                intensity = int(rng.binomial(n, min(p, 1.0)))
                 if cfg.intensity_noise > 0.0:
                     factor = 1.0 + rng.normal(0.0, cfg.intensity_noise)
                     intensity = max(0, int(round(intensity * factor)))
-            for b, n_plus, n_minus in cells:
-                records.append(Record(theta, port, b, n_plus, n_minus, intensity))
+            records += [Record(theta, port, b, n_plus, n_minus, intensity)
+                        for b, (n_plus, n_minus) in zip(_BASES, cells)]
     return SimulatedDataset(cfg, tuple(records))
 
 
@@ -298,55 +304,59 @@ def simulate_dataset(cfg: ExperimentConfig) -> SimulatedDataset:
 # Reconstruction
 # ---------------------------------------------------------------------------
 
-def reconstruct_branch_states(d: SimulatedDataset):
-    """Linear-inversion tomography of every (state, port) branch.
-
-    Returns a dict mapping (theta_deg, port) to a :class:`BranchEstimate`.
-    Pauli expectations come from the per-basis count asymmetries; if the
-    inverted matrix has a negative eigenvalue it is projected back to the
-    closest state by eigenvalue truncation.  Port probabilities are the
-    normalized intensities.  Raises :class:`InsufficientCounts` if any
-    basis of any branch has zero total counts.
-    """
-    cells = {}
-    intensities = {}
+def _branch_arrays(d: SimulatedDataset):
+    """Bloch vectors (N, 2, 3) and port probabilities (N, 2) of every
+    branch, in the order of ``d.config.thetas``, from one parse of the
+    records into (N, 2, 3, 2) counts and (N, 2) intensities.  The first
+    state without intensity, or with a missing or empty basis, raises
+    :class:`InsufficientCounts`."""
+    cells, intensities = {}, {}
     for r in d.records:
         cells[(r.theta_deg, r.port, r.basis)] = (r.n_plus, r.n_minus)
         intensities[(r.theta_deg, r.port)] = r.intensity
-
-    out = {}
-    for theta in d.config.thetas:
-        total_i = sum(intensities.get((theta, port), 0.0) for port in (1, 2))
-        if total_i <= 0.0:
-            raise InsufficientCounts(f"no intensity recorded at theta = {theta}")
-        for port in (1, 2):
-            means = []
-            for b in _BASES:
-                try:
-                    n_plus, n_minus = cells[(theta, port, b)]
-                except KeyError:
-                    raise InsufficientCounts(
-                        f"missing basis {b!r} at theta = {theta}, port {port}")
-                tot = n_plus + n_minus
-                if tot <= 0:
-                    raise InsufficientCounts(
-                        f"zero shots in basis {b!r} at theta = {theta}, port {port}")
-                means.append((n_plus - n_minus) / tot)
-            # Outside the Bloch ball (1 + m.sigma)/2 has the eigenvalue
-            # (1 - |m|)/2 < 0; truncating it and renormalizing leaves the
-            # pure state along m.
-            norm = np.linalg.norm(means)
-            if norm > 1.0:
-                means = [m / norm for m in means]
-            p = float(intensities[(theta, port)] / total_i)
-            out[(theta, port)] = BranchEstimate(bloch_to_density(means), p)
-    return out
+    thetas = d.config.thetas
+    found = [cells.get((t, port, b)) for t in thetas for port in (1, 2) for b in _BASES]
+    missing = np.reshape([c is None for c in found], (-1, 2, 3))
+    counts = np.reshape(np.array([c or (0, 0) for c in found], dtype=float), (-1, 2, 3, 2))
+    inten = np.reshape(np.array([intensities.get((t, port), 0.0) for t in thetas
+                                 for port in (1, 2)], dtype=float), (-1, 2))
+    total_i = inten[:, 0] + inten[:, 1]
+    tot = counts[..., 0] + counts[..., 1]
+    no_light = total_i <= 0.0
+    bad_cell = missing | (tot <= 0)
+    bad = no_light | bad_cell.any(axis=(1, 2))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if no_light[i]:
+            raise InsufficientCounts(f"no intensity recorded at theta = {thetas[i]}")
+        port, b = np.argwhere(bad_cell[i])[0]
+        what = "missing basis" if missing[i, port, b] else "zero shots in basis"
+        raise InsufficientCounts(
+            f"{what} {_BASES[b]!r} at theta = {thetas[i]}, port {port + 1}")
+    means = (counts[..., 0] - counts[..., 1]) / tot
+    # Outside the Bloch ball (1 + m.sigma)/2 has the eigenvalue
+    # (1 - |m|)/2 < 0; truncating it and renormalizing leaves the pure
+    # state along m.  The row-wise dot is np.linalg.norm's of one vector.
+    norm = np.sqrt(means[..., None, :] @ means[..., :, None])[..., 0]
+    means = means / np.maximum(norm, 1.0)
+    return means, inten / total_i[:, None]
 
 
-def _channel_output(branches, theta):
-    b1 = branches[(theta, 1)]
-    b2 = branches[(theta, 2)]
-    return b1.probability * b1.rho + b2.probability * b2.rho
+def reconstruct_branch_states(d: SimulatedDataset):
+    """Linear-inversion tomography of every (state, port) branch.
+
+    A dict mapping (theta_deg, port) to a :class:`BranchEstimate`, built
+    from the arrays of :func:`_branch_arrays`.  Pauli expectations come
+    from the per-basis count asymmetries, and an inverted vector outside
+    the Bloch ball is scaled back to it (eigenvalue truncation).  Port
+    probabilities are the normalized intensities.  Raises
+    :class:`InsufficientCounts` for a state without intensity or with a
+    missing or empty basis.
+    """
+    blochs, probs = _branch_arrays(d)
+    return {(t, port): BranchEstimate(bloch_to_density(blochs[i, port - 1]),
+                                      float(probs[i, port - 1]))
+            for i, t in enumerate(d.config.thetas) for port in (1, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +428,12 @@ def estimate_delta(d: SimulatedDataset):
 
     Returns (delta_hat, diagnostics dict).
     """
-    return _delta_from_branches(d, reconstruct_branch_states(d))
+    return _delta_from_branches(d, _branch_arrays(d)[1])
 
 
-def _delta_from_branches(d, branches):
+def _delta_from_branches(d, probs):
     thetas = np.asarray(d.config.thetas)
-    p1_hat = np.array([branches[(t, 1)].probability for t in thetas])
+    p1_hat = probs[:, 0]
     theta0, amp = _fit_target(thetas, p1_hat)
     ref_amp = amp if d.config.fit_amplitude else 1.0
     devs = np.abs(p1_hat - _target_model(thetas, theta0, ref_amp))
@@ -447,15 +457,16 @@ def estimate_Delta(d: SimulatedDataset):
 
     Returns (Delta_hat, diagnostics dict).
     """
-    return _Delta_from_branches(d, reconstruct_branch_states(d))
+    return _Delta_from_branches(d, *_branch_arrays(d))
 
 
-def _Delta_from_branches(d, branches):
+def _Delta_from_branches(d, blochs, probs):
     thetas = np.asarray(d.config.thetas)
+    inputs = density_to_bloch(linear_pol_state(thetas))
+    outputs = probs[:, 0, None] * blochs[:, 0] + probs[:, 1, None] * blochs[:, 1]
     # The trace distance of two qubit states is half the Euclidean
     # distance of their Bloch vectors.
-    dists = np.array([0.5 * np.linalg.norm(density_to_bloch(
-        _channel_output(branches, t) - linear_pol_state(t))) for t in thetas])
+    dists = 0.5 * np.linalg.norm(outputs - inputs, axis=1)
     i_max = int(np.argmax(dists))
     diag = {
         "argmax_theta_deg": float(thetas[i_max]),
@@ -467,9 +478,9 @@ def _Delta_from_branches(d, branches):
 def estimate_tradeoff(d: SimulatedDataset) -> EstimatedTradeoff:
     """Full pipeline: both estimates plus fit diagnostics, from one
     reconstruction of the branch states."""
-    branches = reconstruct_branch_states(d)
-    delta_hat, ddiag = _delta_from_branches(d, branches)
-    Delta_hat, Ddiag = _Delta_from_branches(d, branches)
+    blochs, probs = _branch_arrays(d)
+    delta_hat, ddiag = _delta_from_branches(d, probs)
+    Delta_hat, Ddiag = _Delta_from_branches(d, blochs, probs)
     return EstimatedTradeoff(delta_hat, Delta_hat,
                              {"delta": ddiag, "Delta": Ddiag})
 
@@ -492,25 +503,52 @@ def _config_to_dict(cfg: ExperimentConfig):
     }
 
 
-def _record_to_dict(r: Record):
-    return {
-        "theta_deg": r.theta_deg,
-        "port": r.port,
-        "basis": r.basis,
-        "n_plus": r.n_plus,
-        "n_minus": r.n_minus,
-        "intensity": r.intensity,
-    }
+# One record as json.dumps(..., indent=2) lays it out inside the payload.
+_RECORD_JSON = (
+    '    {\n      "theta_deg": %s,\n      "port": %s,\n      "basis": %s,\n'
+    '      "n_plus": %s,\n      "n_minus": %s,\n      "intensity": %s\n    }')
+
+
+def _json_value(v):
+    # What the json encoder writes for ints, finite floats (np.float64
+    # included) and strings; anything else goes through json itself,
+    # indented to the depth of a record field.
+    if type(v) is int:
+        return int.__repr__(v)
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    if type(v) is str:
+        return encode_basestring_ascii(v)
+    return json.dumps(v, indent=2).replace("\n", "\n      ")
 
 
 def dataset_to_json(d: SimulatedDataset) -> str:
     """Serialize a dataset with stable key order; counts stay integers in
-    shot mode."""
-    payload = {
-        "config": _config_to_dict(d.config),
-        "records": [_record_to_dict(r) for r in d.records],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    shot mode.  The text is that of ``json.dumps(payload, indent=2)`` plus
+    a newline, with the records written from one template."""
+    head = json.dumps({"config": _config_to_dict(d.config)}, indent=2)[:-2]  # no "\n}"
+    rows = ",\n".join(_RECORD_JSON % (
+        _json_value(r.theta_deg), _json_value(r.port), _json_value(r.basis),
+        _json_value(r.n_plus), _json_value(r.n_minus), _json_value(r.intensity))
+        for r in d.records)
+    records = "[\n" + rows + "\n  ]" if rows else "[]"
+    return head + ',\n  "records": ' + records + "\n}\n"
+
+
+def _number(v, where, lo=None, hi=np.inf):
+    # Float value of a JSON number.  Non-numbers, booleans, NaN, Infinity,
+    # integers beyond float range and values outside [lo, hi] are rejected.
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ValueError(f"{where}: expected a number, got {v!r}")
+    try:
+        f = float(v)
+    except OverflowError:
+        f = np.inf
+    if not np.isfinite(f):
+        raise ValueError(f"{where}: expected a finite number")
+    if lo is not None and not (lo <= f <= hi):
+        raise ValueError(f"{where}: value {f} out of range")
+    return f
 
 
 def config_from_dict(obj, path="config") -> ExperimentConfig:
@@ -519,28 +557,12 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
 
-    def finite(v, where):
-        # NaN, Infinity and integers beyond float range are rejected.
-        try:
-            f = float(v)
-        except OverflowError:
-            f = np.inf
-        if not np.isfinite(f):
-            raise ValueError(f"{where}: expected a finite number")
-        return f
-
-    def number(name, default=None, lo=None, hi=None, required=False):
+    def number(name, default=None, lo=None, hi=np.inf, required=False):
         if name not in obj:
             if required:
                 raise ValueError(f"{path}.{name}: required field missing")
             return default
-        v = obj[name]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"{path}.{name}: expected a number, got {v!r}")
-        v = finite(v, f"{path}.{name}")
-        if lo is not None and not (lo <= v <= (hi if hi is not None else np.inf)):
-            raise ValueError(f"{path}.{name}: value {v} out of range")
-        return v
+        return _number(obj[name], f"{path}.{name}", lo, hi)
 
     alpha = number("alpha", required=True, lo=0.0, hi=0.5 * np.pi)
     phi = number("phi", required=True)
@@ -548,12 +570,15 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
 
     thetas = obj.get("thetas")
     if thetas is not None:
-        if not isinstance(thetas, list) or not all(
-                isinstance(t, (int, float)) and not isinstance(t, bool)
-                for t in thetas):
+        if not isinstance(thetas, list):
             raise ValueError(f"{path}.thetas: expected a list of numbers")
+        # Cells are keyed by angle: a repeat would silently share counts.
+        seen = set()
         for i, t in enumerate(thetas):
-            finite(t, f"{path}.thetas[{i}]")
+            _number(t, f"{path}.thetas[{i}]")
+            if t in seen:
+                raise ValueError(f"{path}.thetas[{i}]: duplicate angle")
+            seen.add(t)
 
     shots = obj.get("shots_per_basis", 10**6)
     if shots == "exact" or shots is None:
@@ -581,16 +606,21 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
 
 
 def dataset_from_json(text: str) -> SimulatedDataset:
+    """Parse the text of :func:`dataset_to_json`.  Counts and intensities
+    must be finite non-negative numbers; they keep their JSON types."""
     payload = json.loads(text)
     cfg = config_from_dict(payload.get("config"), "config")
     records = []
     for i, r in enumerate(payload.get("records", [])):
         try:
-            records.append(Record(float(r["theta_deg"]), int(r["port"]),
-                                  str(r["basis"]), r["n_plus"], r["n_minus"],
-                                  r["intensity"]))
+            record = Record(float(r["theta_deg"]), int(r["port"]),
+                            str(r["basis"]), r["n_plus"], r["n_minus"],
+                            r["intensity"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"records[{i}]: malformed record") from exc
+        for name in ("n_plus", "n_minus", "intensity"):
+            _number(getattr(record, name), f"records[{i}].{name}", lo=0.0)
+        records.append(record)
     return SimulatedDataset(cfg, tuple(records))
 
 

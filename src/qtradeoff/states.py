@@ -66,12 +66,13 @@ def bloch_to_density(b):
 
 
 def density_to_bloch(rho):
-    """Bloch vector of a 2x2 state; inverse of :func:`bloch_to_density`."""
+    """Bloch vector of a 2x2 state, or vectors (..., 3) of a stack of
+    states (..., 2, 2); inverse of :func:`bloch_to_density`."""
     a = np.asarray(rho, dtype=complex)
-    x = 2.0 * a[0, 1].real
-    y = -2.0 * a[0, 1].imag
-    z = (a[0, 0] - a[1, 1]).real
-    return np.array([x, y, z])
+    x = 2.0 * a[..., 0, 1].real
+    y = -2.0 * a[..., 0, 1].imag
+    z = (a[..., 0, 0] - a[..., 1, 1]).real
+    return np.stack([x, y, z], axis=-1)
 
 
 def pure_state(theta, phi):
@@ -90,10 +91,11 @@ def linear_pol_state(theta_deg):
 
     |psi> = cos(theta/2)|H> + sin(theta/2)|V>, Bloch vector
     (sin theta, 0, cos theta).  theta = 0 is |H>, theta = 180 is |V>.
+    An array of angles (...) gives a stack of states (..., 2, 2).
     """
-    t = np.deg2rad(float(theta_deg))
-    psi = np.array([np.cos(0.5 * t), np.sin(0.5 * t)], dtype=complex)
-    return np.outer(psi, psi.conj())
+    t = np.deg2rad(np.asarray(theta_deg, dtype=float))
+    psi = np.stack([np.cos(0.5 * t), np.sin(0.5 * t)], axis=-1).astype(complex)
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def sm7_state_list():

@@ -245,6 +245,7 @@ def test_experiment_config_errors(tmp_path, capsys):
     ({"phi": 10**400}, "config.phi"),
     ({"seed": -1}, "config.seed"),
     ({"shots_per_basis": 10**30}, "config.shots_per_basis"),
+    ({"thetas": [0, 0.0, 90.0]}, "config.thetas[1]: duplicate angle"),
 ])
 def test_experiment_rejects_unusable_numbers(tmp_path, capsys, caplog,
                                              overrides, field):

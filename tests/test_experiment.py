@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qtradeoff.experiment as experiment
 from qtradeoff.experiment import (
+    _branch_blochs,
+    _config_to_dict,
     _port_stream,
     ExperimentConfig,
     InsufficientCounts,
@@ -261,7 +265,8 @@ def test_reconstruction_insufficient_counts():
             records.append(Record(0.0, port, basis, n, 0, 100))
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,),
                            shots_per_basis=100)
-    with pytest.raises(InsufficientCounts):
+    with pytest.raises(InsufficientCounts,
+                       match="zero shots in basis 'y' at theta = 0.0, port 1"):
         reconstruct_branch_states(SimulatedDataset(cfg, tuple(records)))
 
 
@@ -269,8 +274,97 @@ def test_reconstruction_missing_basis():
     records = [Record(0.0, 1, "x", 50, 50, 100)]
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,),
                            shots_per_basis=100)
-    with pytest.raises(InsufficientCounts):
+    with pytest.raises(InsufficientCounts,
+                       match="missing basis 'y' at theta = 0.0, port 1"):
         reconstruct_branch_states(SimulatedDataset(cfg, tuple(records)))
+
+
+@pytest.mark.parametrize("drop, dark, message", [
+    # The first state in config order with a gap is reported, whatever
+    # the kind of gap.
+    ((0.0, 2, "z"), 90.0, "missing basis 'z' at theta = 0.0, port 2"),
+    (None, 90.0, "no intensity recorded at theta = 90.0"),
+    ((90.0, 1, "x"), 0.0, "no intensity recorded at theta = 0.0"),
+])
+def test_reconstruction_reports_first_gap(drop, dark, message):
+    records = tuple(
+        Record(t, port, b, 60, 40, 0 if t == dark else 100)
+        for t in (0.0, 90.0) for port in (1, 2) for b in ("x", "y", "z")
+        if (t, port, b) != drop)
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
+                           shots_per_basis=100)
+    with pytest.raises(InsufficientCounts, match=message):
+        reconstruct_branch_states(SimulatedDataset(cfg, records))
+
+
+def reference_branch_blochs(ins, thetas):
+    # One state at a time: rho at the polarization angle, k rho k^H per
+    # port, and I/2 for a branch of probability at most 1e-12.
+    blochs = np.zeros((len(thetas), 2, 3))
+    probs = np.zeros((len(thetas), 2))
+    for i, theta in enumerate(thetas):
+        t = np.deg2rad(float(theta))
+        psi = np.array([np.cos(0.5 * t), np.sin(0.5 * t)], dtype=complex)
+        rho = np.outer(psi, psi.conj())
+        for j, k in enumerate((ins.k1, ins.k2)):
+            out = k @ rho @ k.conj().T
+            p = float(np.trace(out).real)
+            if p > 1e-12:
+                out = out / p
+                blochs[i, j] = [2.0 * out[0, 1].real, -2.0 * out[0, 1].imag,
+                                (out[0, 0] - out[1, 1]).real]
+            probs[i, j] = max(p, 0.0)
+    return blochs, probs
+
+
+@pytest.mark.parametrize("alpha, phi", [
+    (0.25 * np.pi, 0.5 * np.pi),  # projective: zero-probability branches
+    (0.0, 0.7), (0.4, 0.9), (0.1, -3.0), (1.2, 5.0), (0.5 * np.arcsin(0.8), 0.5 * np.pi),
+])
+def test_branch_blochs_match_per_state_reference(alpha, phi):
+    ins = instrument_from_setting(InterferometerSetting(alpha, phi))
+    thetas = [float(t) for t in range(360)] + [-20.0, 370.5, 1e-9, -1e-300]
+    blochs, probs = _branch_blochs(ins, thetas)
+    ref_blochs, ref_probs = reference_branch_blochs(ins, thetas)
+    np.testing.assert_array_equal(blochs, ref_blochs)
+    np.testing.assert_array_equal(probs, ref_probs)
+    if alpha == 0.25 * np.pi:
+        assert probs[0, 1] <= 1e-12 and probs[180, 0] <= 1e-12
+        assert not blochs[0, 1].any() and not blochs[180, 0].any()
+
+
+def reference_branch_arrays(d):
+    # Branch by branch, as a dict of counts per cell.
+    cells = {(r.theta_deg, r.port, r.basis): (r.n_plus, r.n_minus) for r in d.records}
+    intensities = {(r.theta_deg, r.port): r.intensity for r in d.records}
+    blochs = np.zeros((len(d.config.thetas), 2, 3))
+    probs = np.zeros((len(d.config.thetas), 2))
+    for i, theta in enumerate(d.config.thetas):
+        total_i = sum(intensities[(theta, port)] for port in (1, 2))
+        for j, port in enumerate((1, 2)):
+            means = [(n_plus - n_minus) / (n_plus + n_minus) for n_plus, n_minus
+                     in (cells[(theta, port, b)] for b in ("x", "y", "z"))]
+            norm = np.linalg.norm(means)
+            blochs[i, j] = [m / norm for m in means] if norm > 1.0 else means
+            probs[i, j] = intensities[(theta, port)] / total_i
+    return blochs, probs
+
+
+@pytest.mark.parametrize("cfg", [
+    # Near-pure branches at 1e3 shots: 535 of the 720 invert outside the
+    # Bloch ball and are scaled back.
+    ExperimentConfig(setting=setting_for_gamma(0.999), shots_per_basis=1000, seed=4,
+                     thetas=tuple(range(360))),
+    ExperimentConfig(setting=setting_for_gamma(0.6), shots_per_basis=None),
+    ExperimentConfig(setting=InterferometerSetting(0.4, 0.9), shots_per_basis=10**4,
+                     seed=3, intensity_noise=0.05),
+], ids=["rim-shots", "exact", "noisy"])
+def test_branch_arrays_match_per_branch_reference(cfg):
+    d = simulate_dataset(cfg)
+    blochs, probs = experiment._branch_arrays(d)
+    ref_blochs, ref_probs = reference_branch_arrays(d)
+    np.testing.assert_array_equal(blochs, ref_blochs)
+    np.testing.assert_array_equal(probs, ref_probs)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +457,6 @@ def test_Delta_estimate_diagnostics():
 
 @pytest.mark.parametrize("shots", [4000, None])
 def test_estimate_tradeoff_matches_separate_estimates(shots, monkeypatch):
-    import qtradeoff.experiment as experiment
-
     cfg = ExperimentConfig(setting=setting_for_gamma(0.6),
                            shots_per_basis=shots, seed=5)
     d = simulate_dataset(cfg)
@@ -372,8 +464,8 @@ def test_estimate_tradeoff_matches_separate_estimates(shots, monkeypatch):
     Delta_hat, Ddiag = estimate_Delta(d)
 
     calls = []
-    original = experiment.reconstruct_branch_states
-    monkeypatch.setattr(experiment, "reconstruct_branch_states",
+    original = experiment._branch_arrays
+    monkeypatch.setattr(experiment, "_branch_arrays",
                         lambda ds: calls.append(ds) or original(ds))
     est = estimate_tradeoff(d)
     assert len(calls) == 1
@@ -459,6 +551,50 @@ def test_dataset_json_round_trip():
     assert list(payload["records"][0]) == [
         "theta_deg", "port", "basis", "n_plus", "n_minus", "intensity"]
     assert all(isinstance(r["n_plus"], int) for r in payload["records"])
+
+
+def reference_json(d):
+    payload = {"config": _config_to_dict(d.config),
+               "records": [dataclasses.asdict(r) for r in d.records]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def hand_built(*records):
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,))
+    return SimulatedDataset(cfg, tuple(records))
+
+
+shot_cfg = ExperimentConfig(setting=setting_for_gamma(0.4), shots_per_basis=200, seed=2)
+
+
+@pytest.mark.parametrize("dataset", [
+    lambda: simulate_dataset(shot_cfg),
+    lambda: simulate_dataset(ExperimentConfig(setting=setting_for_gamma(0.7),
+                                              shots_per_basis=None)),
+    lambda: simulate_dataset(ExperimentConfig(
+        setting=InterferometerSetting(0.4, 0.9), shots_per_basis=10**4, seed=3,
+        intensity_noise=0.05)),
+    lambda: dataset_from_json(dataset_to_json(simulate_dataset(shot_cfg))),
+    lambda: dataset_from_json(dataset_to_json(simulate_dataset(
+        ExperimentConfig(setting=setting_for_gamma(0.7), shots_per_basis=None)))),
+    lambda: hand_built(Record(-0.0, 1, "x", 1e-300, 2**53 + 1, np.float64(0.1)),
+                       Record(1e22, 2, "y", float("nan"), float("inf"), -float("inf")),
+                       Record(0.5, True, "\u00e9\n", None, [1, 2.5], {"a": [3]})),
+    lambda: hand_built(),
+], ids=["shots", "exact", "noisy", "reloaded-shots", "reloaded-exact",
+        "hand-built", "empty"])
+def test_dataset_json_matches_json_module(dataset):
+    d = dataset()
+    assert dataset_to_json(d) == reference_json(d)
+
+
+@pytest.mark.parametrize("name", ["n_plus", "n_minus", "intensity"])
+@pytest.mark.parametrize("value", ["abc", None, [1], True, -5, float("nan")])
+def test_dataset_from_json_rejects_unusable_counts(name, value):
+    payload = json.loads(dataset_to_json(simulate_dataset(shot_cfg)))
+    payload["records"][4][name] = value
+    with pytest.raises(ValueError, match=rf"records\[4\]\.{name}: "):
+        dataset_from_json(json.dumps(payload))
 
 
 def test_config_from_dict_field_errors():
