@@ -2,10 +2,9 @@
 experiment simulation, and the verification suite.
 
 Exit codes: 0 success, 2 input error, 3 verification failure.  Every run
-logs the measure kind, and the supremum strategy where the numeric
-diamond-norm search runs, to stderr so records are reproducible.  The
-environment variable ``QTRADEOFF_SEED`` overrides config seeds for
-reproducibility audits.
+logs its command and settings to stderr; no measure depends on a
+search strategy or a seed.  The environment variable ``QTRADEOFF_SEED``
+overrides config seeds for reproducibility audits.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .measures import (
     measurement_error_estimate,
 )
 from .states import density_to_bloch, pure_state
-from .supopt import DEFAULT_STRATEGY
 
 log = logging.getLogger("qtradeoff")
 
@@ -64,13 +62,6 @@ def _fmt(x):
     if x is None:
         return ""
     return f"{x:.12g}"
-
-
-def _strategy_note(kind):
-    # Only the diamond kind searches numerically; the others are exact.
-    if kind is MeasureKind.DIAMOND:
-        return f" strategy={DEFAULT_STRATEGY}"
-    return ""
 
 
 def _sweep_point(scheme, value, kind):
@@ -127,8 +118,8 @@ def cmd_sweep(args) -> int:
 
     top = 0.5 * np.pi if args.scheme == "swap" else 1.0
     values = np.linspace(0.0, top, args.steps)
-    log.info("sweep scheme=%s steps=%d kind=%s%s", args.scheme, args.steps,
-             kind.value, _strategy_note(kind))
+    log.info("sweep scheme=%s steps=%d kind=%s", args.scheme, args.steps,
+             kind.value)
 
     rows = ["scheme,param,delta_closed,Delta_closed,delta_numeric,"
             "Delta_numeric,kind"]
@@ -160,7 +151,7 @@ def cmd_eval(args) -> int:
         log.error("eval: %s", exc)
         return EXIT_INPUT
 
-    log.info("eval kind=%s%s", kind.value, _strategy_note(kind))
+    log.info("eval kind=%s", kind.value)
     d_est = measurement_error_estimate(povm_of(ins))
     dd_est = disturbance_estimate(ins, kind)
 
@@ -248,9 +239,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # Only the full level runs the diamond-norm check.
-    log.info("verify level=%s%s", args.level,
-             _strategy_note(MeasureKind.DIAMOND) if args.level == "full" else "")
+    log.info("verify level=%s", args.level)
     results = verification.run_checks(args.level)
     for r in results:
         print(r.line())

@@ -138,6 +138,10 @@ class ExperimentConfig:
         object.__setattr__(self, "thetas", tuple(float(t) for t in thetas))
         if len(self.thetas) == 0:
             raise ValueError("thetas must be non-empty")
+        # Cells are keyed by angle: a repeat would silently share counts.
+        if len(set(self.thetas)) < len(self.thetas):
+            i = next(i for i, t in enumerate(self.thetas) if t in self.thetas[:i])
+            raise ValueError(f"thetas[{i}]: duplicate angle")
         if self.shots_per_basis is not None and self.shots_per_basis < 1:
             raise ValueError(
                 f"shots_per_basis = {self.shots_per_basis} must be >= 1")
@@ -572,13 +576,8 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
     if thetas is not None:
         if not isinstance(thetas, list):
             raise ValueError(f"{path}.thetas: expected a list of numbers")
-        # Cells are keyed by angle: a repeat would silently share counts.
-        seen = set()
         for i, t in enumerate(thetas):
             _number(t, f"{path}.thetas[{i}]")
-            if t in seen:
-                raise ValueError(f"{path}.thetas[{i}]: duplicate angle")
-            seen.add(t)
 
     shots = obj.get("shots_per_basis", 10**6)
     if shots == "exact" or shots is None:
@@ -600,24 +599,40 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
     if not isinstance(fit_amplitude, bool):
         raise ValueError(f"{path}.fit_amplitude: expected a boolean")
 
-    return ExperimentConfig(setting=setting, thetas=thetas,
-                            shots_per_basis=shots, intensity_noise=noise,
-                            seed=seed, fit_amplitude=fit_amplitude)
+    try:
+        return ExperimentConfig(setting=setting, thetas=thetas,
+                                shots_per_basis=shots, intensity_noise=noise,
+                                seed=seed, fit_amplitude=fit_amplitude)
+    except ValueError as exc:
+        raise ValueError(f"{path}.{exc}") from None
 
 
 def dataset_from_json(text: str) -> SimulatedDataset:
     """Parse the text of :func:`dataset_to_json`.  Counts and intensities
-    must be finite non-negative numbers; they keep their JSON types."""
+    must be finite non-negative numbers; they keep their JSON types.  Ports
+    must be 1 or 2, bases x, y or z and angles the config's; anything else
+    raises ValueError naming the field."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("dataset: expected a JSON object")
     cfg = config_from_dict(payload.get("config"), "config")
+    rows = payload.get("records", [])
+    if not isinstance(rows, list):
+        raise ValueError("records: expected a list")
+    thetas = set(cfg.thetas)
     records = []
-    for i, r in enumerate(payload.get("records", [])):
+    for i, r in enumerate(rows):
         try:
             record = Record(float(r["theta_deg"]), int(r["port"]),
                             str(r["basis"]), r["n_plus"], r["n_minus"],
                             r["intensity"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"records[{i}]: malformed record") from exc
+        for name, allowed in (("port", _PORTS), ("basis", _BASES),
+                              ("theta_deg", thetas)):
+            if getattr(record, name) not in allowed:
+                raise ValueError(f"records[{i}].{name}: unexpected value "
+                                 f"{getattr(record, name)!r}")
         for name in ("n_plus", "n_minus", "intensity"):
             _number(getattr(record, name), f"records[{i}].{name}", lo=0.0)
         records.append(record)

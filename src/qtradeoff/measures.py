@@ -24,11 +24,10 @@ every effect is c 1 + d . sigma.  The measurement error and the
 worst-case trace-norm, Hilbert-Schmidt and infidelity kinds are then the
 maximum of a norm or a quadratic over the unit sphere, solved exactly
 with one 3x3 eigendecomposition and a bracketed root of the secular
-equation; their estimates carry ``method == "exact"``.  The averaged
-kind is one vectorised quadrature (``method == "quadrature"``).  Only the
-diamond kind still searches numerically (``method == "numeric"``), over
-the Bloch ball of the ancilla's reduced state with the Bloch-ball engine
-of :mod:`qtradeoff.supopt`.
+equation (``method == "exact"``).  The averaged kind is one vectorised
+quadrature (``method == "quadrature"``).  The diamond kind is a concave
+maximization over the ancilla state, one deterministic BFGS solve whose
+value comes with a dual upper bound (``method == "certified"``).
 
 The random-sampling axiom checker takes an explicit seeded generator;
 concurrent calls with distinct generators are safe.
@@ -42,13 +41,13 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from .instruments import (
     NORMALIZATION_TOL, DiagonalFamilyParams, Instrument, Povm, povm_of,
     validate_instrument)
 from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag
-from .supopt import ExtremumEstimate, maximize_over_bloch_ball
+from .supopt import ExtremumEstimate
 
 __all__ = [
     "UnknownKind",
@@ -318,15 +317,14 @@ def _worst_trace(m, t):
 
 
 def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
-                         average_domain="surface") -> ExtremumEstimate:
+                         *, average_domain="surface") -> ExtremumEstimate:
     """Disturbance of a channel with argmax information.
 
     ``channel`` may be an :class:`Instrument`, a marginal-channel spec
     (an object with ``weight`` and ``replacement``), or a bare linear
     callable on 2x2 states (all kinds except diamond).  The channel must
-    be trace-preserving (ValueError otherwise).  All kinds but diamond are
-    computed from the channel's Bloch-affine form; ``strategy`` only
-    steers the diamond kind's numeric search.
+    be trace-preserving (ValueError otherwise).  ``strategy`` is never
+    read; the benchmark's diamond workload still passes one there.
     """
     try:
         kind = MeasureKind(kind)
@@ -362,64 +360,90 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
         raise TypeError(
             "diamond-norm disturbance needs an Instrument or a marginal "
             "channel spec; a bare callable has no bipartite extension")
-    return _diamond(apply2, *_worst_trace(m, t), strategy)
+    return _diamond(apply2, *_worst_trace(m, t))
 
 
-_PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+# 1 (x) P for P in (1, sigma_x, sigma_y, sigma_z): S = 1 (x) X is c @ _LIFTED
+# for X = c0 1 + c.sigma, and X is S's top-left block.
+_LIFTED = np.kron(ID2, np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z]))
 
 
-def _sqrt_states(points):
-    # sqrt((1 + r.sigma)/2) = a 1 + (r.sigma) / (4 a) with
-    # a = (sqrt(lam+) + sqrt(lam-)) / 2 over the eigenvalues (1 +- |r|)/2,
-    # for an (N, 3) array of Bloch vectors; no division by |r|.
-    n = np.linalg.norm(points, axis=1)
-    a = 0.5 * (np.sqrt(0.5 * (1.0 + n)) + np.sqrt(np.maximum(0.0, 0.5 * (1.0 - n))))
-    return (a[:, None, None] * ID2
-            + np.einsum("nk,kij->nij", points / (4.0 * a[:, None]), _PAULIS))
+def _dual_bound(j, sigma):
+    # lambda_max(Tr_out Z) for Z = S^-1 K+ S^-1, S = 1 (x) sqrt(sigma), K+
+    # the positive part of K = S J S: Z >= 0 and Z - J = S^-1 K- S^-1 >= 0.
+    # 2 mu makes it hold for the computed Z too (see _diamond).
+    w, u = np.linalg.eigh(sigma)
+    s, s_inv = (np.kron(ID2, (u * w**p) @ dag(u)) for p in (0.5, -0.5))
+    evals, vecs = np.linalg.eigh(s @ j @ s)
+    z = s_inv @ (vecs * np.maximum(evals, 0.0)) @ dag(vecs) @ s_inv
+    mu = max(0.0, -np.linalg.eigvalsh(z - j)[0], -np.linalg.eigvalsh(z)[0])
+    mu += 16.0 * np.finfo(float).eps * (np.linalg.norm(z) + np.linalg.norm(j))
+    tr_out = np.einsum("ikil->kl", z.reshape(2, 2, 2, 2))
+    return np.linalg.eigvalsh(tr_out)[-1] + 2.0 * mu
 
 
-def _diamond(apply2, r_worst, worst, strategy):
-    """(1/2)||T - id||_<> as a search over the ancilla state sigma.
+def _diamond(apply2, r_worst, worst):
+    """(1/2)||T - id||_<> as one deterministic solve with a dual bound.
 
-    The input (1 (x) sqrt(sigma))|Omega> gives the output
-    (1 (x) sqrt(sigma)) J (1 (x) sqrt(sigma)), J the Choi matrix of T - id
-    (output first, input copy second); every pure input with ancilla
-    state sigma differs from it by an ancilla unitary, which the trace
-    norm does not see (Watrous, arXiv:1207.5726).  The pure sigma that
-    puts the system in the worst single-qubit state (the complex
-    conjugate: y mirrored) is a refinement start, and the value is never
-    below the worst-case trace norm.  ``params`` holds the 8 reals of the
-    maximizing input, as the bipartite oracle returns them.
+    The input (1 (x) X)|Omega>, X = c0 1 + c.sigma, has the output
+    K = S J S, S = 1 (x) X and J the Choi matrix of T - id (output first,
+    input copy second), and the ancilla state X^2 / tr X^2 whatever the
+    signs of X's eigenvalues; other inputs with that state differ by an
+    ancilla unitary, which the trace norm does not see.  So
+    f(c) = (1/2)||K||_1 / tr X^2 is Watrous's SDP optimum at that state
+    (arXiv:1207.5726), concave in it, and BFGS with the gradient
+    d||K||_1/dc_k = 2 Re tr(P (1 (x) P_k) J S), P the sign matrix of K,
+    finds the maximum from the centre and from the pure state that puts
+    the system in the worst single-qubit state (mirrored: the complex
+    conjugate), so the value is never below the worst-case trace norm.
+    ``params`` holds the 8 reals of the maximizing input.
+
+    ``certified_gap`` is ``upper - value``, ``upper`` the least
+    :func:`_dual_bound` over the argmax state shrunk toward I/2 by
+    1e-4 ... 1e-12 (Z needs it invertible).  ``upper`` includes a rounding
+    allowance: twice the measured shortfall of the computed Z from Z >= J
+    and Z >= 0, plus 32 eps (||Z||_F + ||J||_F).
     """
     j = sum(np.kron(apply2(e) - e, e)
             for e in np.eye(4, dtype=complex).reshape(4, 2, 2))
 
-    def objective(points):
-        s4 = np.zeros((len(points), 4, 4), dtype=complex)
-        s4[:, :2, :2] = s4[:, 2:, 2:] = _sqrt_states(points)
-        return 0.5 * np.abs(np.linalg.eigvalsh(s4 @ j @ s4)).sum(axis=1)
+    def neg(c):
+        # -f(c) and its gradient, with tr X^2 = 2 c.c.
+        s = np.tensordot(c, _LIFTED, 1)
+        evals, vecs = np.linalg.eigh(s @ j @ s)
+        n, cc = np.abs(evals).sum(), c @ c
+        dn = 2.0 * np.einsum("kab,ba->k", _LIFTED,
+                             j @ s @ (vecs * np.sign(evals)) @ dag(vecs)).real
+        return -n / (4.0 * cc), (2.0 * n * c / cc - dn) / (4.0 * cc)
 
-    mirrored = r_worst * np.array([1.0, -1.0, 1.0])
-    est = maximize_over_bloch_ball(objective, strategy, extra_starts=[mirrored])
-    v = _sqrt_states(est.params[None, :])[0].T.ravel()
-    v /= np.linalg.norm(v)
-    return ExtremumEstimate(np.concatenate([v.real, v.imag]),
-                            max(est.value, float(worst)), est.certified_gap)
+    mirrored = 0.5 * np.concatenate([[1.0], r_worst * [1.0, -1.0, 1.0]])
+    res = min((minimize(neg, c0, jac=True, method="BFGS",
+                        options={"gtol": 1e-10})
+               for c0 in (np.array([1.0, 0.0, 0.0, 0.0]), mirrored)),
+              key=lambda r: r.fun)
+    x = np.tensordot(res.x, _LIFTED, 1)[:2, :2]
+    sigma = x @ x / np.trace(x @ x).real
+    value = max(-float(res.fun), float(worst))
+    upper = min(_dual_bound(j, (1.0 - e) * sigma + 0.5 * e * ID2)
+                for e in 10.0 ** -np.arange(4, 13, 2))
+    v = x.T.ravel() / np.linalg.norm(x)
+    return ExtremumEstimate(np.concatenate([v.real, v.imag]), value,
+                            float(upper) - value, "certified")
 
 
-def disturbance(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
+def disturbance(channel, kind=MeasureKind.WORST_TRACE, *,
                 average_domain="surface") -> float:
     """Disturbance of a channel under the chosen measure kind."""
-    return disturbance_estimate(channel, kind, strategy, average_domain).value
+    return disturbance_estimate(channel, kind,
+                                average_domain=average_domain).value
 
 
-def tradeoff_of(ins: Instrument, kind=MeasureKind.WORST_TRACE,
-                strategy=None) -> TradeoffPoint:
+def tradeoff_of(ins: Instrument, kind=MeasureKind.WORST_TRACE) -> TradeoffPoint:
     """Pair the measurement error of the induced POVM with the channel
     disturbance of the instrument."""
     kind = MeasureKind(kind)
     delta = measurement_error(povm_of(ins))
-    Delta = disturbance(ins, kind, strategy)
+    Delta = disturbance(ins, kind)
     tag = dict(ins.label)
     tag["kind"] = kind.value
     return TradeoffPoint(delta, Delta, tag)

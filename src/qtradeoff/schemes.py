@@ -208,14 +208,10 @@ def swap_system_channel_spec(p: SwapParams) -> MarginalChannelSpec:
 
 
 def swap_induced_povm(p: SwapParams) -> Povm:
-    """Measurement induced on the input (maximally mixed ancilla)."""
-
-    def apply_sp(x):
-        w = p.a2 * ID4 + 1j * p.a1 * FLIP
-        return partial_trace(w @ tensor(np.asarray(x, dtype=complex),
-                                        MAXIMALLY_MIXED) @ dag(w), "first")
-
-    return _povm_via_duality(apply_sp)
+    """Measurement induced on the input (maximally mixed ancilla), through
+    the measured marginal a2^2 * 1/2 + (1 - a2^2) * rho."""
+    spec = MarginalChannelSpec(p.a2**2, MAXIMALLY_MIXED)
+    return _povm_via_duality(spec.apply)
 
 
 def swap_tradeoff_point(p: SwapParams) -> TradeoffPoint:

@@ -1,6 +1,5 @@
-"""Supremum engine: maximize scalar objectives over the Bloch ball, over
-pure qubit states and over bipartite (two-qubit) pure states, plus a
-parabolic extremum fit.
+"""Supremum engine: maximize scalar objectives over pure qubit states and
+over bipartite (two-qubit) pure states, plus a parabolic extremum fit.
 
 Strategy: a coarse deterministic scan brackets the maximum, then
 Nelder-Mead refinement is started from the best candidates.  Derivative
@@ -9,10 +8,9 @@ at eigenvalue crossings.  The returned value is never below the best
 coarse-scan value, and identical inputs always give identical outputs
 (multistart candidates derive deterministically from the strategy).
 
-The measures compute their state suprema exactly
-(:mod:`qtradeoff.measures`).  The Bloch-ball search serves only the
-diamond-norm kind, whose bipartite supremum reduces to a search over the
-reduced state of the ancilla.  :func:`maximize_over_pure_states` and
+No runtime path searches: the measures compute their state suprema
+exactly and the diamond norm as one deterministic solve with a dual
+bound (:mod:`qtradeoff.measures`).  :func:`maximize_over_pure_states` and
 :func:`maximize_over_bipartite_pure_states` are kept as the independent
 oracles the tests check the measures against.
 
@@ -33,7 +31,6 @@ __all__ = [
     "SupremumStrategy",
     "ExtremumEstimate",
     "DegenerateFit",
-    "maximize_over_bloch_ball",
     "maximize_over_pure_states",
     "maximize_over_bipartite_pure_states",
     "parabolic_refine",
@@ -48,9 +45,9 @@ class DegenerateFit(ValueError):
 class SupremumStrategy:
     """Knobs for the coarse-scan + refine maximizers.
 
-    coarse_grid_points is the number of samples per angle (the Bloch-ball
-    and bipartite maximizers draw coarse_grid_points^2 seeded random
-    points instead of a mesh).  refine_iterations bounds the Nelder-Mead
+    coarse_grid_points is the number of samples per angle (the bipartite
+    maximizer draws coarse_grid_points^2 seeded random points instead of a
+    mesh).  refine_iterations bounds the Nelder-Mead
     iteration count per parameter.
     """
 
@@ -72,8 +69,10 @@ class ExtremumEstimate:
     """Result of a maximization: argmax parameters, value and gap.
 
     ``method`` says how the value was obtained: ``"exact"`` (closed-form
-    or secular-equation supremum; ``certified_gap`` is 0), ``"quadrature"``
-    (a fixed quadrature rule, not a supremum; ``certified_gap`` is 0) or
+    or secular-equation supremum; ``certified_gap`` is 0), ``"certified"``
+    (a solve of a concave problem; ``value + certified_gap`` is a dual
+    upper bound on the supremum), ``"quadrature"`` (a fixed
+    quadrature rule, not a supremum; ``certified_gap`` is 0) or
     ``"numeric"`` (scan plus refinement).  For ``"numeric"``,
     ``certified_gap`` is the best coarse-scan value minus the refined value
     (<= 0 means refinement only improved); it bounds nothing.
@@ -116,31 +115,6 @@ def _multistart(neg, params, vals, extra_starts, s, decode):
         if -res.fun > best_val:
             best_val, best = float(-res.fun), decode(res.x)
     return ExtremumEstimate(best, best_val, grid_best - best_val)
-
-
-def _into_ball(x):
-    n = np.linalg.norm(x)
-    return x / n if n > 1.0 else x
-
-
-def maximize_over_bloch_ball(f, strategy=None, extra_starts=()) -> ExtremumEstimate:
-    """Maximize f over Bloch vectors r with |r| <= 1; ``params`` is the
-    best r.
-
-    f is vectorised, mapping an (N, 3) array of points to N values.  The
-    coarse stage evaluates coarse_grid_points^2 seeded uniform points in
-    one batch; refinement also starts from the centre and any
-    ``extra_starts``, and projects points outside the ball radially onto
-    its surface.
-    """
-    s = strategy or DEFAULT_STRATEGY
-    rng = _seeded_rng(s, 0xB10C_BA11)
-    points = rng.standard_normal((s.coarse_grid_points**2, 3))
-    points *= (rng.uniform(size=len(points)) ** (1.0 / 3.0)
-               / np.linalg.norm(points, axis=1))[:, None]
-    starts = [np.zeros(3)] + [np.asarray(r, dtype=float) for r in extra_starts]
-    return _multistart(lambda x: -f(_into_ball(x)[None, :])[0], points,
-                       np.asarray(f(points), dtype=float), starts, s, _into_ball)
 
 
 def maximize_over_pure_states(f, strategy=None) -> ExtremumEstimate:

@@ -6,17 +6,21 @@ here from 2x2 matrices and ``numpy.linalg.eigvalsh`` only.  The exact value
 is a true supremum, so it may exceed the oracle by its convergence error
 but may not fall below it by more than rounding.
 
-The diamond kind's Bloch-ball search is cross-checked the same way against
-``maximize_over_bipartite_pure_states`` on the 4x4 objective
+The diamond kind's deterministic solve is cross-checked the same way
+against ``maximize_over_bipartite_pure_states`` on the 4x4 objective
 (1/2)||(T (x) id)(v v^dag) - v v^dag||_1, built here from the Kraus pair
-or the replacement form.
+or the replacement form; its dual upper bound must lie at or above the
+oracle's value.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtradeoff import verification
 from qtradeoff.instruments import (
     Instrument,
     OptimalFamilyParams,
@@ -251,7 +255,7 @@ def test_averaged_ball_matches_scalar_loop():
 
 
 # ---------------------------------------------------------------------------
-# diamond kind: the Bloch-ball search against the bipartite oracle
+# diamond kind: the deterministic solve against the bipartite oracle
 # ---------------------------------------------------------------------------
 
 def bipartite_objective(channel):
@@ -277,7 +281,8 @@ def bipartite_objective(channel):
 def check_diamond(channel, oracle=True):
     est = disturbance_estimate(channel, MeasureKind.DIAMOND)
     f = bipartite_objective(channel)
-    assert est.method == "numeric" and est.params.shape == (8,)
+    assert est.method == "certified" and est.params.shape == (8,)
+    assert 0.0 <= est.certified_gap <= 1e-6
     v = est.params[:4] + 1j * est.params[4:]
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     # the returned input attains the value on the 4x4 objective
@@ -288,6 +293,8 @@ def check_diamond(channel, oracle=True):
         bi = maximize_over_bipartite_pure_states(f, FAST).value
         assert est.value >= bi - 1e-9
         assert abs(est.value - bi) <= 1e-6
+        # the dual bound holds whatever the solver found
+        assert est.value + est.certified_gap >= bi
     return est.value, worst
 
 
@@ -326,9 +333,39 @@ def test_methods_are_reported():
     ins = make_optimal_instrument(OptimalFamilyParams(0.5))
     avg = disturbance_estimate(ins, MeasureKind.AVG_TRACE)
     assert avg.method == "quadrature" and avg.params.size == 0
-    fast = SupremumStrategy(coarse_grid_points=6, refine_iterations=2,
-                            tolerance=1e-8, multistarts=1)
-    assert disturbance_estimate(ins, MeasureKind.DIAMOND, fast).method == "numeric"
+    assert disturbance_estimate(ins, MeasureKind.DIAMOND).method == "certified"
+
+
+def test_diamond_check_reads_the_upper_bound(monkeypatch):
+    # A loose certificate fails the check even when the value is right.
+    exact = verification.disturbance_estimate
+
+    def loose(channel, kind):
+        return dataclasses.replace(exact(channel, kind), certified_gap=1e-3)
+
+    assert verification.check_diamond_equality(points=3).passed
+    monkeypatch.setattr(verification, "disturbance_estimate", loose)
+    assert not verification.check_diamond_equality(points=3).passed
+
+
+def test_diamond_ignores_a_positional_strategy():
+    # The benchmark's diamond workload still passes a search strategy as
+    # the third positional argument; it must not change the result.
+    rng = np.random.default_rng(3)
+    for channel in (_random_instrument(rng), random_replacement(rng)):
+        plain = disturbance_estimate(channel, "diamond")
+        given_one = disturbance_estimate(channel, "diamond",
+                                         SupremumStrategy(12, 4, 1e-8, 2))
+        assert given_one.value == plain.value
+        assert given_one.certified_gap == plain.certified_gap
+        assert np.array_equal(given_one.params, plain.params)
+
+
+def test_average_domain_is_keyword_only():
+    # A leftover positional strategy must not become the averaging domain.
+    spec = random_replacement(np.random.default_rng(4))
+    with pytest.raises(TypeError):
+        disturbance_estimate(spec, MeasureKind.AVG_TRACE, None, "ball")
 
 
 @pytest.mark.parametrize("kind", [k for k in MeasureKind

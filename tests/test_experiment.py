@@ -597,6 +597,36 @@ def test_dataset_from_json_rejects_unusable_counts(name, value):
         dataset_from_json(json.dumps(payload))
 
 
+def with_record_field(payload, name, value):
+    payload["records"][4][name] = value
+    return payload
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: [1, 2], r"^dataset: expected a JSON object"),
+    (lambda p: {**p, "records": 5}, r"^records: expected a list"),
+    (lambda p: with_record_field(p, "port", 7),
+     r"^records\[4\]\.port: unexpected value 7$"),
+    (lambda p: with_record_field(p, "basis", "q"),
+     r"^records\[4\]\.basis: unexpected value 'q'$"),
+    (lambda p: with_record_field(p, "theta_deg", 15.0),
+     r"^records\[4\]\.theta_deg: unexpected value 15\.0$"),
+], ids=["not-an-object", "records-not-a-list", "port", "basis", "angle"])
+def test_dataset_from_json_rejects_malformed_structure(edit, message):
+    payload = edit(json.loads(dataset_to_json(simulate_dataset(shot_cfg))))
+    with pytest.raises(ValueError, match=message):
+        dataset_from_json(json.dumps(payload))
+
+
+def test_config_rejects_repeated_angles():
+    # Cells are keyed by angle, so a repeat would silently drop a state.
+    with pytest.raises(ValueError, match=r"^thetas\[1\]: duplicate angle"):
+        ExperimentConfig(setting=setting_for_gamma(0.3), thetas=(0, 0.0, 90.0))
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.3), thetas=(0.0, 90.0))
+    with pytest.raises(ValueError, match="duplicate angle"):
+        dataclasses.replace(cfg, thetas=(90.0, 90.0))
+
+
 def test_config_from_dict_field_errors():
     with pytest.raises(ValueError, match="config.alpha"):
         config_from_dict({"phi": 0.0})

@@ -124,17 +124,17 @@ def test_diagonal_error_closed_form_is_lower_bound_off_locus():
 def test_disturbance_zero_for_identity_all_kinds():
     ins = make_optimal_instrument(OptimalFamilyParams(0.0))
     for kind in MeasureKind:
-        assert disturbance(ins, kind, FAST) == pytest.approx(0.0, abs=1e-10)
+        assert disturbance(ins, kind) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_disturbance_half_for_projective():
     ins = make_optimal_instrument(OptimalFamilyParams(1.0))
-    assert disturbance(ins, MeasureKind.WORST_TRACE, FAST) == pytest.approx(0.5, abs=1e-9)
+    assert disturbance(ins, MeasureKind.WORST_TRACE) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_disturbance_matches_brute_force_oracle():
     ins = make_diagonal_instrument(DiagonalFamilyParams(0.4, 0.7, 0.9, 2.1))
-    num = disturbance(ins, MeasureKind.WORST_TRACE, FAST)
+    num = disturbance(ins, MeasureKind.WORST_TRACE)
     assert num == pytest.approx(oracle_disturbance_trace(ins), abs=1e-6)
     assert num == pytest.approx(diagonal_channel_disturbance_exact(ins), abs=1e-9)
 
@@ -154,22 +154,22 @@ def test_diagonal_closed_form_agrees_with_numeric():
     for _ in range(5):
         p = DiagonalFamilyParams(*rng.uniform(0, 1, 2), *rng.uniform(0, 2 * np.pi, 2))
         ins = make_diagonal_instrument(p)
-        assert disturbance(ins, MeasureKind.WORST_TRACE, FAST) == pytest.approx(
+        assert disturbance(ins, MeasureKind.WORST_TRACE) == pytest.approx(
             diagonal_disturbance_closed_form(p), abs=1e-8)
 
 
 def test_diamond_equals_trace_norm_on_optimal_family():
     ins = make_optimal_instrument(OptimalFamilyParams(0.5))
-    d_tr = disturbance(ins, MeasureKind.WORST_TRACE, FAST)
-    d_di = disturbance(ins, MeasureKind.DIAMOND, FAST)
+    d_tr = disturbance(ins, MeasureKind.WORST_TRACE)
+    d_di = disturbance(ins, MeasureKind.DIAMOND)
     assert d_di >= d_tr - 1e-12
     assert abs(d_di - d_tr) < 1e-4
 
 
 def test_diamond_dominates_trace_norm_off_the_optimal_family():
     ins = make_diagonal_instrument(DiagonalFamilyParams(0.3, 0.8, 1.1, 0.2))
-    d_tr = disturbance(ins, MeasureKind.WORST_TRACE, FAST)
-    d_di = disturbance(ins, MeasureKind.DIAMOND, FAST)
+    d_tr = disturbance(ins, MeasureKind.WORST_TRACE)
+    d_di = disturbance(ins, MeasureKind.DIAMOND)
     assert d_di >= d_tr - 1e-12
 
 
@@ -178,16 +178,16 @@ def test_hs_kind_scale_factor():
     # and Hilbert-Schmidt norms differ by exactly sqrt(2)
     for gamma in (0.3, 0.8):
         ins = make_optimal_instrument(OptimalFamilyParams(gamma))
-        tr = disturbance(ins, MeasureKind.WORST_TRACE, FAST)
-        hs = disturbance(ins, MeasureKind.WORST_HS, FAST)
+        tr = disturbance(ins, MeasureKind.WORST_TRACE)
+        hs = disturbance(ins, MeasureKind.WORST_HS)
         assert tr == pytest.approx(HS_TO_TRACE_NORM_SCALE * hs, abs=1e-8)
 
 
 def test_infidelity_equals_trace_norm_on_optimal_family():
     for gamma in (0.2, 0.6):
         ins = make_optimal_instrument(OptimalFamilyParams(gamma))
-        tr = disturbance(ins, MeasureKind.WORST_TRACE, FAST)
-        inf = disturbance(ins, MeasureKind.WORST_INFIDELITY, FAST)
+        tr = disturbance(ins, MeasureKind.WORST_TRACE)
+        inf = disturbance(ins, MeasureKind.WORST_INFIDELITY)
         assert inf == pytest.approx(tr, abs=1e-6)
 
 
@@ -196,8 +196,8 @@ def test_averaged_below_worst_case():
     for _ in range(3):
         p = DiagonalFamilyParams(*rng.uniform(0, 1, 2), *rng.uniform(0, 2 * np.pi, 2))
         ins = make_diagonal_instrument(p)
-        avg = disturbance(ins, MeasureKind.AVG_TRACE, FAST)
-        worst = disturbance(ins, MeasureKind.WORST_TRACE, FAST)
+        avg = disturbance(ins, MeasureKind.AVG_TRACE)
+        worst = disturbance(ins, MeasureKind.WORST_TRACE)
         assert avg <= worst + 1e-10
         # diagonal channels: surface average is exactly pi/4 of the peak
         assert avg == pytest.approx(np.pi / 4.0 * worst, abs=1e-6)
@@ -205,8 +205,8 @@ def test_averaged_below_worst_case():
 
 def test_averaged_ball_domain_below_surface():
     ins = make_optimal_instrument(OptimalFamilyParams(0.7))
-    surf = disturbance(ins, MeasureKind.AVG_TRACE, FAST, average_domain="surface")
-    ball = disturbance(ins, MeasureKind.AVG_TRACE, FAST, average_domain="ball")
+    surf = disturbance(ins, MeasureKind.AVG_TRACE, average_domain="surface")
+    ball = disturbance(ins, MeasureKind.AVG_TRACE, average_domain="ball")
     assert ball < surf
     assert ball == pytest.approx(0.75 * surf, abs=1e-6)  # mean radius 3/4
 
@@ -214,14 +214,14 @@ def test_averaged_ball_domain_below_surface():
 def test_unknown_kind_rejected():
     ins = make_optimal_instrument(OptimalFamilyParams(0.5))
     with pytest.raises(UnknownKind):
-        disturbance(ins, "nonsense", FAST)
+        disturbance(ins, "nonsense")
     with pytest.raises(ValueError):
-        disturbance(ins, MeasureKind.AVG_TRACE, FAST, average_domain="shell")
+        disturbance(ins, MeasureKind.AVG_TRACE, average_domain="shell")
 
 
 def test_diamond_rejects_bare_callable():
     with pytest.raises(TypeError):
-        disturbance(lambda rho: rho, MeasureKind.DIAMOND, FAST)
+        disturbance(lambda rho: rho, MeasureKind.DIAMOND)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +229,15 @@ def test_diamond_rejects_bare_callable():
 # ---------------------------------------------------------------------------
 
 def test_tradeoff_of_examples():
-    pt = tradeoff_of(make_optimal_instrument(OptimalFamilyParams(0.0)), strategy=FAST)
+    pt = tradeoff_of(make_optimal_instrument(OptimalFamilyParams(0.0)))
     assert pt.delta == pytest.approx(0.5, abs=1e-9)
     assert pt.Delta == pytest.approx(0.0, abs=1e-10)
     assert pt.tag == {"family": "optimal", "gamma": 0.0, "beta": 0.0,
                       "kind": "worst-case-trace-norm"}
-    pt = tradeoff_of(make_optimal_instrument(OptimalFamilyParams(1.0)), strategy=FAST)
+    pt = tradeoff_of(make_optimal_instrument(OptimalFamilyParams(1.0)))
     assert pt.delta == pytest.approx(0.0, abs=1e-10)
     assert pt.Delta == pytest.approx(0.5, abs=1e-9)
-    pt = tradeoff_of(make_optimal_instrument(OptimalFamilyParams(0.5)), strategy=FAST)
+    pt = tradeoff_of(make_optimal_instrument(OptimalFamilyParams(0.5)))
     assert pt.delta == pytest.approx(0.25, abs=1e-8)
     assert pt.Delta == pytest.approx(FRONTIER_QUARTER, abs=1e-8)
     assert pt.tag["gamma"] == 0.5
@@ -277,7 +277,7 @@ def test_linear_polarization_circle_attains_suprema():
         return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(out - rho)))
 
     circle_dist = max(dist(t) for t in thetas)
-    assert disturbance(ins, MeasureKind.WORST_TRACE, FAST) == pytest.approx(
+    assert disturbance(ins, MeasureKind.WORST_TRACE) == pytest.approx(
         circle_dist, abs=1e-6)
 
 
@@ -314,12 +314,12 @@ def test_convexity_edge_mixtures_are_equalities():
 
 def test_basis_independence_sigma_x_instance():
     ins = make_optimal_instrument(OptimalFamilyParams(0.5))
-    base = disturbance(ins, MeasureKind.WORST_TRACE, FAST)
+    base = disturbance(ins, MeasureKind.WORST_TRACE)
 
     def rotated(rho):
         inner = SIGMA_X @ rho @ SIGMA_X
         out = ins.k1 @ inner @ dag(ins.k1) + ins.k2 @ inner @ dag(ins.k2)
         return SIGMA_X @ out @ SIGMA_X
 
-    assert disturbance(rotated, MeasureKind.WORST_TRACE, FAST) == pytest.approx(
+    assert disturbance(rotated, MeasureKind.WORST_TRACE) == pytest.approx(
         base, abs=1e-6)

@@ -26,10 +26,6 @@ from qtradeoff.schemes import (
     swap_tradeoff_point,
 )
 from qtradeoff.states import bloch_to_density, linear_pol_state
-from qtradeoff.supopt import SupremumStrategy
-
-FAST = SupremumStrategy(coarse_grid_points=24, refine_iterations=60,
-                        tolerance=1e-8, multistarts=4)
 
 PROJ_H = np.diag([1.0, 0.0]).astype(complex)
 
@@ -161,7 +157,7 @@ def test_cloner_numeric_supremum_cross_check():
         p = ClonerParams.from_a2(a2)
         pt = cloner_tradeoff_point(p)
         d_num = measurement_error(cloner_induced_povm(p))
-        dd_num = disturbance(cloner_system_channel_spec(p), MeasureKind.WORST_TRACE, FAST)
+        dd_num = disturbance(cloner_system_channel_spec(p), MeasureKind.WORST_TRACE)
         assert d_num == pytest.approx(pt.delta, abs=1e-6)
         assert dd_num == pytest.approx(pt.Delta, abs=1e-6)
 
@@ -238,7 +234,7 @@ def test_swap_numeric_supremum_cross_check():
     p = SwapParams(0.6)
     pt = swap_tradeoff_point(p)
     d_num = measurement_error(swap_induced_povm(p))
-    dd_num = disturbance(swap_system_channel_spec(p), MeasureKind.WORST_TRACE, FAST)
+    dd_num = disturbance(swap_system_channel_spec(p), MeasureKind.WORST_TRACE)
     assert d_num == pytest.approx(pt.delta, abs=1e-6)
     assert dd_num == pytest.approx(pt.Delta, abs=1e-6)
 
@@ -274,7 +270,7 @@ def test_swap_pure_ancilla_same_error_more_disturbance():
         w = p.a2 * ID4 + 1j * p.a1 * FLIP
         return partial_trace(w @ tensor(rho, pure_anc) @ _dag(w), "second")
 
-    dist_pure = disturbance(apply_s, MeasureKind.WORST_TRACE, FAST)
+    dist_pure = disturbance(apply_s, MeasureKind.WORST_TRACE)
     dist_mixed = swap_tradeoff_point(p).Delta
     assert dist_pure > dist_mixed + 1e-3
 

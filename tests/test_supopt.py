@@ -8,7 +8,6 @@ from qtradeoff.supopt import (
     DegenerateFit,
     SupremumStrategy,
     maximize_over_bipartite_pure_states,
-    maximize_over_bloch_ball,
     maximize_over_pure_states,
     parabolic_refine,
 )
@@ -120,48 +119,6 @@ def test_bipartite_extra_starts_are_used():
                             tolerance=1e-8, multistarts=1)
     with_start = maximize_over_bipartite_pure_states(f, tiny, extra_starts=[target])
     assert with_start.value == pytest.approx(1.0, abs=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# maximize_over_bloch_ball
-# ---------------------------------------------------------------------------
-
-def test_ball_linear_objective_peaks_on_the_sphere():
-    n = np.array([1.0, -2.0, 2.0]) / 3.0
-    est = maximize_over_bloch_ball(lambda r: r @ n, SMALL)
-    assert est.value == pytest.approx(1.0, abs=1e-8)
-    assert np.linalg.norm(est.params) <= 1.0
-    assert np.allclose(est.params, n, atol=1e-4)
-
-
-def test_ball_interior_maximum_and_determinism():
-    c = np.array([0.2, 0.1, -0.3])
-
-    def f(r):
-        return -np.sum((r - c) ** 2, axis=1)
-
-    a = maximize_over_bloch_ball(f, SMALL)
-    b = maximize_over_bloch_ball(f, SMALL)
-    assert a.value == pytest.approx(0.0, abs=1e-10)
-    assert np.allclose(a.params, c, atol=1e-5)
-    assert a.certified_gap <= 0.0
-    assert a.value == b.value and np.array_equal(a.params, b.params)
-
-
-def test_ball_centre_and_extra_starts_are_used():
-    target = np.array([0.0, 0.6, -0.8])
-
-    def narrow(center):
-        # extremely narrow peaks: only a start at the peak finds it
-        return lambda r: np.exp(-1e6 * np.sum((r - center) ** 2, axis=1))
-
-    tiny = SupremumStrategy(coarse_grid_points=2, refine_iterations=2,
-                            tolerance=1e-8, multistarts=1)
-    assert maximize_over_bloch_ball(narrow(np.zeros(3)), tiny).value == 1.0
-    assert maximize_over_bloch_ball(narrow(target), tiny).value < 1e-3
-    with_start = maximize_over_bloch_ball(narrow(target), tiny,
-                                          extra_starts=[target])
-    assert with_start.value == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
