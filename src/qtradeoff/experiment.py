@@ -50,7 +50,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .instruments import Instrument, povm_of, validate_instrument
+from .instruments import (Instrument, _json_number, povm_of,
+                          validate_instrument)
 from .measures import (
     _sphere_argmax,
     diagonal_channel_disturbance_exact,
@@ -539,22 +540,6 @@ def dataset_to_json(d: SimulatedDataset) -> str:
     return head + ',\n  "records": ' + records + "\n}\n"
 
 
-def _number(v, where, lo=None, hi=np.inf):
-    # Float value of a JSON number.  Non-numbers, booleans, NaN, Infinity,
-    # integers beyond float range and values outside [lo, hi] are rejected.
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ValueError(f"{where}: expected a number, got {v!r}")
-    try:
-        f = float(v)
-    except OverflowError:
-        f = np.inf
-    if not np.isfinite(f):
-        raise ValueError(f"{where}: expected a finite number")
-    if lo is not None and not (lo <= f <= hi):
-        raise ValueError(f"{where}: value {f} out of range")
-    return f
-
-
 def config_from_dict(obj, path="config") -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-style dict with field-path
     error messages."""
@@ -566,7 +551,7 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
             if required:
                 raise ValueError(f"{path}.{name}: required field missing")
             return default
-        return _number(obj[name], f"{path}.{name}", lo, hi)
+        return _json_number(obj[name], f"{path}.{name}", lo, hi)
 
     alpha = number("alpha", required=True, lo=0.0, hi=0.5 * np.pi)
     phi = number("phi", required=True)
@@ -577,7 +562,7 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
         if not isinstance(thetas, list):
             raise ValueError(f"{path}.thetas: expected a list of numbers")
         for i, t in enumerate(thetas):
-            _number(t, f"{path}.thetas[{i}]")
+            _json_number(t, f"{path}.thetas[{i}]")
 
     shots = obj.get("shots_per_basis", 10**6)
     if shots == "exact" or shots is None:
@@ -610,8 +595,9 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
 def dataset_from_json(text: str) -> SimulatedDataset:
     """Parse the text of :func:`dataset_to_json`.  Counts and intensities
     must be finite non-negative numbers; they keep their JSON types.  Ports
-    must be 1 or 2, bases x, y or z and angles the config's; anything else
-    raises ValueError naming the field."""
+    must be the JSON integers 1 or 2, bases the strings x, y or z and
+    angles JSON numbers among the config's, with no coercion (a bool is no
+    number); anything else raises ValueError naming the field."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("dataset: expected a JSON object")
@@ -623,18 +609,23 @@ def dataset_from_json(text: str) -> SimulatedDataset:
     records = []
     for i, r in enumerate(rows):
         try:
-            record = Record(float(r["theta_deg"]), int(r["port"]),
-                            str(r["basis"]), r["n_plus"], r["n_minus"],
-                            r["intensity"])
-        except (KeyError, TypeError, ValueError) as exc:
+            theta, port, basis = r["theta_deg"], r["port"], r["basis"]
+            counts = r["n_plus"], r["n_minus"], r["intensity"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"records[{i}]: malformed record") from exc
+        theta = _json_number(theta, f"records[{i}].theta_deg")
+        # 1.0 and True equal 1, so the membership test below needs this.
+        if type(port) is not int:
+            raise ValueError(f"records[{i}].port: expected an integer, "
+                             f"got {port!r}")
+        record = Record(theta, port, basis, *counts)
         for name, allowed in (("port", _PORTS), ("basis", _BASES),
                               ("theta_deg", thetas)):
             if getattr(record, name) not in allowed:
                 raise ValueError(f"records[{i}].{name}: unexpected value "
                                  f"{getattr(record, name)!r}")
         for name in ("n_plus", "n_minus", "intensity"):
-            _number(getattr(record, name), f"records[{i}].{name}", lo=0.0)
+            _json_number(getattr(record, name), f"records[{i}].{name}", lo=0.0)
         records.append(record)
     return SimulatedDataset(cfg, tuple(records))
 

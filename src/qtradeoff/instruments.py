@@ -78,8 +78,10 @@ class Instrument:
         k2 = _readonly(_as_matrix(self.k2, "k2"))
         object.__setattr__(self, "k1", k1)
         object.__setattr__(self, "k2", k2)
-        dev = np.linalg.norm(dag(k1) @ k1 + dag(k2) @ k2 - ID2)
-        if dev > NORMALIZATION_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = np.linalg.norm(dag(k1) @ k1 + dag(k2) @ k2 - ID2)
+        # Written so that a deviation that overflows to NaN fails too.
+        if not dev <= NORMALIZATION_TOL:
             raise NotNormalized(
                 f"||K1^dag K1 + K2^dag K2 - 1|| = {dev:.3e} exceeds {NORMALIZATION_TOL:.0e}"
             )
@@ -185,25 +187,33 @@ def validate_instrument(k1, k2, label=None) -> Instrument:
 # JSON descriptor interface (CLI and file input)
 # ---------------------------------------------------------------------------
 
-def _descriptor_number(obj, path, lo=None, hi=None):
-    v = obj
+def _json_number(v, where, lo=None, hi=np.inf):
+    # Float value of a JSON number.  Non-numbers, booleans, NaN, Infinity,
+    # integers beyond float range and values outside [lo, hi] are rejected.
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ValueError(f"{path}: expected a number, got {v!r}")
-    v = float(v)
-    if lo is not None and hi is not None and not (lo <= v <= hi):
-        raise ValueError(f"{path}: value {v} outside [{lo}, {hi}]")
-    return v
+        raise ValueError(f"{where}: expected a number, got {v!r}")
+    try:
+        f = float(v)
+    except OverflowError:
+        f = np.inf
+    if not np.isfinite(f):
+        raise ValueError(f"{where}: expected a finite number")
+    if lo is not None and not (lo <= f <= hi):
+        raise ValueError(f"{where}: value {f} outside [{lo}, {hi}]")
+    return f
 
 
 def _descriptor_matrix(obj, path):
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: expected a 2x2 array of [re, im] pairs") from exc
     if arr.shape != (2, 2, 2):
         raise ValueError(
             f"{path}: expected shape [2][2][2] ([re, im] per entry), got {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: expected finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -222,14 +232,14 @@ def instrument_from_descriptor(desc: dict) -> Instrument:
         raise ValueError("instrument: expected a JSON object")
     family = desc.get("family")
     if family == "optimal":
-        gamma = _descriptor_number(desc.get("gamma"), "instrument.gamma", 0.0, 1.0)
-        beta = _descriptor_number(desc.get("beta", 0.0), "instrument.beta")
+        gamma = _json_number(desc.get("gamma"), "instrument.gamma", 0.0, 1.0)
+        beta = _json_number(desc.get("beta", 0.0), "instrument.beta")
         return make_optimal_instrument(OptimalFamilyParams(gamma, beta))
     if family == "diagonal":
-        b1 = _descriptor_number(desc.get("b1"), "instrument.b1", 0.0, 1.0)
-        b2 = _descriptor_number(desc.get("b2"), "instrument.b2", 0.0, 1.0)
-        beta1 = _descriptor_number(desc.get("beta1", 0.0), "instrument.beta1")
-        beta2 = _descriptor_number(desc.get("beta2", 0.0), "instrument.beta2")
+        b1 = _json_number(desc.get("b1"), "instrument.b1", 0.0, 1.0)
+        b2 = _json_number(desc.get("b2"), "instrument.b2", 0.0, 1.0)
+        beta1 = _json_number(desc.get("beta1", 0.0), "instrument.beta1")
+        beta2 = _json_number(desc.get("beta2", 0.0), "instrument.beta2")
         return make_diagonal_instrument(DiagonalFamilyParams(b1, b2, beta1, beta2))
     if family == "raw":
         if "k1" not in desc or "k2" not in desc:

@@ -23,25 +23,26 @@ r -> M r + t, read from the images of I/2 and the Pauli eigenstates, and
 every effect is c 1 + d . sigma.  The measurement error and the
 worst-case trace-norm, Hilbert-Schmidt and infidelity kinds are then the
 maximum of a norm or a quadratic over the unit sphere, solved exactly
-with one 3x3 eigendecomposition and a bracketed root of the secular
-equation (``method == "exact"``).  The averaged kind is one vectorised
-quadrature (``method == "quadrature"``).  The diamond kind is a concave
-maximization over the ancilla state, one deterministic BFGS solve whose
-value comes with a dual upper bound (``method == "certified"``).
+with one 3x3 eigendecomposition and the root of the secular equation,
+found by a safeguarded Newton iteration on phi^(-1/2)
+(``method == "exact"``).  The averaged kind is one vectorised quadrature
+(``method == "quadrature"``).  The diamond kind is a concave maximization
+over the ancilla state, one deterministic BFGS solve whose value comes
+with a dual upper bound (``method == "certified"``); it is the only kind
+that imports ``scipy.optimize``, on its first call.
 
-The random-sampling axiom checker takes an explicit seeded generator;
-concurrent calls with distinct generators are safe.
+The random-sampling axiom checker takes an explicit seeded generator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .instruments import (
     NORMALIZATION_TOL, DiagonalFamilyParams, Instrument, Povm, povm_of,
@@ -148,10 +149,14 @@ def _sphere_argmax(h, b):
     The global maximizer solves (lam - h) r = b with lam at or above the
     top eigenvalue of h (Gander, Golub & von Matt 1989; More & Sorensen
     1983).  In the eigenbasis r_i = beta_i / (lam - h_i), and lam is the
-    root of the secular equation sum_i beta_i^2 / (lam - h_i)^2 = 1.  The
-    component on the top eigenspace is set by the unit norm, which also
-    covers the hard case, where b has no component there and lam is the
-    top eigenvalue itself.
+    root of the secular equation phi(lam) = sum_i beta_i^2 / (lam - h_i)^2
+    = 1.  Above the top pole phi^(-1/2) is concave and increasing, so
+    Newton's method on phi^(-1/2) = 1, started at the left end of the
+    bracket [top + |beta_top| / 2, top + 2 |b|], climbs to the root
+    monotonically; a step that would leave the shrinking bracket bisects
+    it instead.  The component on the top eigenspace is set by the unit
+    norm, which also covers the hard case, where b has no component there
+    and lam is the top eigenvalue itself.
     """
     evals, q = np.linalg.eigh(h)
     beta = q.T @ b
@@ -162,18 +167,44 @@ def _sphere_argmax(h, b):
     beta_top = float(np.linalg.norm(beta[top]))
     if beta_top <= tol:
         beta_top = 0.0
+    # (beta_i, h_top - h_i) per pole, in mu = lam - h_top.
+    poles = list(zip(tail_beta.tolist(), tail_gap.tolist()))
+    if beta_top:
+        poles.append((beta_top, 0.0))
 
-    def secular(lam):
-        s = np.sum((tail_beta / (lam - top_val + tail_gap)) ** 2) - 1.0
-        return s + (beta_top / (lam - top_val)) ** 2 if beta_top else s
+    def moments(mu):
+        # phi(mu) and sum_i beta_i^2 / (mu + gap_i)^3.
+        phi = s3 = 0.0
+        for beta_i, gap_i in poles:
+            w = (beta_i / (mu + gap_i)) ** 2
+            phi += w
+            s3 += w / (mu + gap_i)
+        return phi, s3
 
-    lam = top_val
-    if beta_top > 0.0 or secular(top_val) > 0.0:
-        # secular > 0 at the lower end of the bracket, < 0 at the upper.
-        lam = brentq(secular, top_val + 0.5 * beta_top,
-                     top_val + 2.0 * float(np.linalg.norm(b)), xtol=1e-15)
+    # phi > 1 at the left end of the bracket, and phi <= 1/4 at the right
+    # end, where every pole is at least 2 |b| away.  phi <= 1 at mu = 0
+    # (only possible with beta_top = 0) is the hard case.
+    mu = 0.5 * beta_top
+    phi, s3 = moments(mu)
+    if phi > 1.0:
+        lo, hi = mu, 2.0 * float(np.linalg.norm(b))
+        ulps = 4.0 * np.finfo(float).eps
+        for _ in range(100):
+            # Newton step of phi^(-1/2) = 1.
+            new = mu + phi * (math.sqrt(phi) - 1.0) / s3
+            if not lo <= new <= hi:
+                new = 0.5 * (lo + hi)
+            converged = abs(new - mu) <= ulps * new
+            mu = new
+            if converged:
+                break
+            phi, s3 = moments(mu)
+            if phi > 1.0:
+                lo = mu
+            else:
+                hi = mu
     y = np.zeros(len(b))
-    y[~top] = tail_beta / (lam - top_val + tail_gap)
+    y[~top] = tail_beta / (mu + tail_gap)
     norm_top = np.sqrt(max(0.0, 1.0 - float(y @ y)))
     if beta_top > 0.0:
         y[top] = norm_top * beta[top] / beta_top
@@ -404,6 +435,8 @@ def _diamond(apply2, r_worst, worst):
     allowance: twice the measured shortfall of the computed Z from Z >= J
     and Z >= 0, plus 32 eps (||Z||_F + ||J||_F).
     """
+    from scipy.optimize import minimize
+
     j = sum(np.kron(apply2(e) - e, e)
             for e in np.eye(4, dtype=complex).reshape(4, 2, 2))
 

@@ -9,8 +9,7 @@ Tensor index convention: the first factor is the slow index, i.e.
 ``(i, k)`` flattened row-major to ``2 * i + k``.  This matches ``np.kron``.
 
 Inputs are never mutated and returned arrays are freshly allocated, so
-every function here is a pure function and safe to call from any number of
-threads concurrently.
+every function here is a pure function.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ float arrays with x^2 + y^2 + z^2 <= 1.  Linear polarization angles are
 carried in degrees at the interface and converted internally; the states
 they describe live on the x-z great circle of the Bloch sphere (y = 0).
 
-All functions are pure and thread-safe.
+All functions are pure.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ No runtime path searches: the measures compute their state suprema
 exactly and the diamond norm as one deterministic solve with a dual
 bound (:mod:`qtradeoff.measures`).  :func:`maximize_over_pure_states` and
 :func:`maximize_over_bipartite_pure_states` are kept as the independent
-oracles the tests check the measures against.
+oracles the tests check the measures against.  They import
+``scipy.optimize`` on their first call, so importing this module does not.
 
-Objectives must be pure functions; the engine may evaluate them from
-multiple threads.
+Objectives must be pure functions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .states import pure_state
 
@@ -88,6 +87,8 @@ DEFAULT_STRATEGY = SupremumStrategy()
 
 
 def _refine(neg, x0, strategy):
+    from scipy.optimize import minimize
+
     opts = {
         "maxiter": strategy.refine_iterations * len(x0),
         "xatol": 1e-7,

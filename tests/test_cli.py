@@ -151,6 +151,23 @@ def test_eval_rejects_unnormalized_raw(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("desc, field", [
+    ({"family": "raw", "k1": [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+      "k2": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "K1^dag K1"),
+    ({"family": "optimal", "gamma": 0.5, "beta": float("inf")}, "instrument.beta"),
+    ({"family": "diagonal", "b1": float("nan"), "b2": 0.5}, "instrument.b1"),
+    ({"family": "diagonal", "b1": 0.5, "b2": 0.5, "beta2": 10**400},
+     "instrument.beta2"),
+], ids=["overflowing-raw", "beta-inf", "b1-nan", "beta2-huge"])
+def test_eval_rejects_unusable_numbers(tmp_path, capsys, caplog, desc, field):
+    f = tmp_path / "ins.json"
+    f.write_text(json.dumps(desc))
+    code, out = run_cli(capsys, "eval", "--instrument", str(f))
+    assert code == 2
+    assert out == ""
+    assert field in caplog.text
+
+
 def test_eval_rejects_bad_schema(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"family": "optimal", "gamma": "big"}))

@@ -618,6 +618,28 @@ def test_dataset_from_json_rejects_malformed_structure(edit, message):
         dataset_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("port", 1.9), ("port", 1.0), ("port", "2"), ("port", True),
+    ("basis", 1), ("basis", ["x"]), ("basis", None),
+    ("theta_deg", "0"), ("theta_deg", False), ("theta_deg", None),
+])
+def test_dataset_from_json_does_not_coerce(name, value):
+    # Only JSON integers are ports, strings bases and numbers angles.  Under
+    # int() or float(), the ports would read 1, 1, 2 and 1 and the angles
+    # 0.0, one of the config's.
+    assert 0.0 in shot_cfg.thetas
+    payload = json.loads(dataset_to_json(simulate_dataset(shot_cfg)))
+    payload["records"][4][name] = value
+    with pytest.raises(ValueError, match=rf"^records\[4\]\.{name}: "):
+        dataset_from_json(json.dumps(payload))
+
+
+def test_dataset_from_json_accepts_an_integer_angle():
+    payload = json.loads(dataset_to_json(simulate_dataset(shot_cfg)))
+    payload["records"][4]["theta_deg"] = 0
+    assert dataset_from_json(json.dumps(payload)).records[4].theta_deg == 0.0
+
+
 def test_config_rejects_repeated_angles():
     # Cells are keyed by angle, so a repeat would silently drop a state.
     with pytest.raises(ValueError, match=r"^thetas\[1\]: duplicate angle"):

@@ -1,0 +1,78 @@
+"""``import qtradeoff`` and every path but the diamond kind stay numpy-only.
+
+``scipy.optimize`` costs more start-up time and memory than the rest of
+the package together, and only the diamond kind's BFGS solve (and the
+test oracles) call it.  Each check runs in a fresh interpreter that
+imports the package from this checkout.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+
+import qtradeoff
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qtradeoff.__file__)))
+
+# Every non-diamond kind of every sweep scheme, `eval`, and `experiment`
+# on a config whose target fit takes the rim branch (amplitude 1); then
+# one diamond call, which loads scipy.optimize.
+GUARD = """
+import json, sys
+from qtradeoff.cli import main
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+
+kinds = ["worst-case-trace-norm", "worst-case-hilbert-schmidt",
+         "worst-case-infidelity", "state-averaged-trace-norm"]
+for scheme in ("optimal", "cloner", "swap", "diagonal"):
+    for kind in kinds:
+        run("sweep", "--scheme", scheme, "--steps", "3", "--kind", kind,
+            "--out", f"{scheme}-{kind}.csv")
+        run("eval", "--instrument", "ins.json", "--kind", kind)
+run("experiment", "--config", "rim.json", "--out", "rim")
+with open("rim/estimate.json") as fh:
+    assert json.load(fh)["diagnostics"]["delta"]["amplitude"] == 1.0
+assert not loaded(), loaded()
+run("eval", "--instrument", "ins.json", "--kind", "diamond")
+assert "scipy.optimize" in loaded()
+print("ok")
+"""
+
+
+def run_fresh(args, cwd):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_scipy_optimize_is_loaded_only_by_the_diamond_kind(tmp_path):
+    (tmp_path / "ins.json").write_text(
+        json.dumps({"family": "optimal", "gamma": 0.5, "beta": 0.0}))
+    (tmp_path / "rim.json").write_text(json.dumps({
+        "alpha": 0.5 * math.asin(0.999), "phi": 0.5 * math.pi,
+        "shots_per_basis": 1000, "seed": 4}))
+    proc = run_fresh(["-c", GUARD], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_python_m_qtradeoff_runs_the_cli(tmp_path):
+    f = tmp_path / "ins.json"
+    f.write_text(json.dumps({"family": "optimal", "gamma": 1.0, "beta": 0.0}))
+    proc = run_fresh(["-m", "qtradeoff", "eval", "--instrument", str(f)],
+                     tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["Delta"] == pytest.approx(0.5, abs=1e-12)
+    proc = run_fresh(["-m", "qtradeoff", "eval", "--instrument",
+                      str(tmp_path / "missing.json")], tmp_path)
+    assert proc.returncode == 2

@@ -244,3 +244,30 @@ def test_descriptor_errors_name_fields():
             "k1": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
             "k2": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
         })
+
+
+def test_normalization_check_rejects_overflow():
+    # K1^dag K1 overflows to inf + nan j, so the deviation is NaN.
+    with pytest.raises(NotNormalized):
+        validate_instrument(np.diag([1e300, 0.0]), np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("family, name", [
+    ("optimal", "gamma"), ("optimal", "beta"), ("diagonal", "b1"),
+    ("diagonal", "b2"), ("diagonal", "beta1"), ("diagonal", "beta2"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                   10**400], ids=["nan", "inf", "-inf", "1e400"])
+def test_descriptor_rejects_unusable_numbers(family, name, value):
+    desc = {"family": family, "gamma": 0.5, "b1": 0.5, "b2": 0.5, name: value}
+    with pytest.raises(ValueError, match=rf"^instrument\.{name}: "):
+        instrument_from_descriptor(desc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                         ids=["nan", "inf", "1e400"])
+def test_descriptor_rejects_unusable_matrix_entries(value):
+    k1 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    k2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [value, 0.0]]]
+    with pytest.raises(ValueError, match=r"^instrument\.k2: "):
+        instrument_from_descriptor({"family": "raw", "k1": k1, "k2": k2})
