@@ -204,16 +204,19 @@ def _json_number(v, where, lo=None, hi=np.inf):
 
 
 def _descriptor_matrix(obj, path):
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: expected a 2x2 array of [re, im] pairs") from exc
-    if arr.shape != (2, 2, 2):
-        raise ValueError(
-            f"{path}: expected shape [2][2][2] ([re, im] per entry), got {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path}: expected finite entries")
+    # A [2][2][2] nested list of [re, im] pairs.  Every leaf goes through
+    # _json_number, so a string, boolean or null entry is named, not
+    # coerced.
+    def entries(v, index):
+        where = "".join(f"[{i}]" for i in index)
+        if len(index) == 3:
+            return _json_number(v, f"{path}: entry {where}")
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
+            raise ValueError(f"{path}: expected shape [2][2][2] ([re, im] "
+                             f"per entry), got {v!r} at {where or 'the top'}")
+        return [entries(x, index + (i,)) for i, x in enumerate(v)]
+
+    arr = np.array(entries(obj, ()))
     return arr[..., 0] + 1j * arr[..., 1]
 
 

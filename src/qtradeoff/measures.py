@@ -27,9 +27,9 @@ with one 3x3 eigendecomposition and the root of the secular equation,
 found by a safeguarded Newton iteration on phi^(-1/2)
 (``method == "exact"``).  The averaged kind is one vectorised quadrature
 (``method == "quadrature"``).  The diamond kind is a concave maximization
-over the ancilla state, one deterministic BFGS solve whose value comes
-with a dual upper bound (``method == "certified"``); it is the only kind
-that imports ``scipy.optimize``, on its first call.
+over the ancilla state, one deterministic BFGS solve in numpy whose value
+comes with a dual upper bound (``method == "certified"``).  No kind loads
+``scipy.optimize``; only the test oracles in ``supopt`` use scipy.
 
 The random-sampling axiom checker takes an explicit seeded generator.
 """
@@ -154,9 +154,10 @@ def _sphere_argmax(h, b):
     Newton's method on phi^(-1/2) = 1, started at the left end of the
     bracket [top + |beta_top| / 2, top + 2 |b|], climbs to the root
     monotonically; a step that would leave the shrinking bracket bisects
-    it instead.  The component on the top eigenspace is set by the unit
-    norm, which also covers the hard case, where b has no component there
-    and lam is the top eigenvalue itself.
+    it instead.  The component on the top eigenspace is beta_top / mu,
+    renormalised with the rest, and in the hard case, where b has no
+    component there and lam can be the top eigenvalue itself, it is set
+    by the unit norm.
     """
     evals, q = np.linalg.eigh(h)
     beta = q.T @ b
@@ -205,11 +206,10 @@ def _sphere_argmax(h, b):
                 hi = mu
     y = np.zeros(len(b))
     y[~top] = tail_beta / (mu + tail_gap)
-    norm_top = np.sqrt(max(0.0, 1.0 - float(y @ y)))
     if beta_top > 0.0:
-        y[top] = norm_top * beta[top] / beta_top
-    else:
-        y[-1] = norm_top
+        y[top] = beta[top] / mu
+        return q @ (y / np.linalg.norm(y))
+    y[-1] = np.sqrt(max(0.0, 1.0 - float(y @ y)))
     return q @ y
 
 
@@ -399,18 +399,60 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
 _LIFTED = np.kron(ID2, np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z]))
 
 
-def _dual_bound(j, sigma):
-    # lambda_max(Tr_out Z) for Z = S^-1 K+ S^-1, S = 1 (x) sqrt(sigma), K+
-    # the positive part of K = S J S: Z >= 0 and Z - J = S^-1 K- S^-1 >= 0.
-    # 2 mu makes it hold for the computed Z too (see _diamond).
-    w, u = np.linalg.eigh(sigma)
-    s, s_inv = (np.kron(ID2, (u * w**p) @ dag(u)) for p in (0.5, -0.5))
+def _dual_bound(j, sigmas):
+    # lambda_max(Tr_out Z) per state of the (n, 2, 2) stack, for
+    # Z = S^-1 K+ S^-1, S = 1 (x) sqrt(sigma), K+ the positive part of
+    # K = S J S: Z >= 0 and Z - J = S^-1 K- S^-1 >= 0.  2 mu makes it hold
+    # for the computed Z too (see _diamond).
+    n = len(sigmas)
+    w, u = np.linalg.eigh(sigmas)
+    s, s_inv = np.zeros((2, n, 4, 4), dtype=complex)
+    for blk, p in ((s, 0.5), (s_inv, -0.5)):
+        # 1 (x) sigma^p: sigma^p twice on the diagonal.
+        blk[:, :2, :2] = blk[:, 2:, 2:] = (
+            (u * w[:, None]**p) @ u.conj().swapaxes(1, 2))
     evals, vecs = np.linalg.eigh(s @ j @ s)
-    z = s_inv @ (vecs * np.maximum(evals, 0.0)) @ dag(vecs) @ s_inv
-    mu = max(0.0, -np.linalg.eigvalsh(z - j)[0], -np.linalg.eigvalsh(z)[0])
-    mu += 16.0 * np.finfo(float).eps * (np.linalg.norm(z) + np.linalg.norm(j))
-    tr_out = np.einsum("ikil->kl", z.reshape(2, 2, 2, 2))
-    return np.linalg.eigvalsh(tr_out)[-1] + 2.0 * mu
+    z = (s_inv @ (vecs * np.maximum(evals, 0.0)[:, None])
+         @ vecs.conj().swapaxes(1, 2) @ s_inv)
+    lows = np.linalg.eigvalsh(np.concatenate([z - j, z]))[:, 0].reshape(2, n)
+    mu = np.maximum(0.0, -lows.min(axis=0))
+    mu += 16.0 * np.finfo(float).eps * (np.linalg.norm(z, axis=(1, 2))
+                                        + np.linalg.norm(j))
+    tr_out = np.einsum("nikil->nkl", z.reshape(n, 2, 2, 2, 2))
+    return np.linalg.eigvalsh(tr_out)[:, -1] + 2.0 * mu
+
+
+def _bfgs(fun, x):
+    # Minimize fun (returning the value and the gradient) from x: BFGS
+    # with Armijo backtracking and the standard inverse-Hessian update.
+    # Stops on a gradient below 1e-10 in every entry, on a failed line
+    # search, on a step that gains at most 4 eps |f|, or after scipy's
+    # default of 200 iterations per variable.
+    f, g = fun(x)
+    h = eye = np.eye(len(x))
+    for _ in range(200 * len(x)):
+        if np.max(np.abs(g)) < 1e-10:
+            break
+        p = -h @ g
+        slope = g @ p
+        step = 1.0
+        for _ in range(50):
+            f_new, g_new = fun(x + step * p)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        sk, yk = step * p, g_new - g
+        gain = f - f_new
+        x, f, g = x + sk, f_new, g_new
+        if gain <= 4.0 * np.finfo(float).eps * abs(f):
+            break
+        sy = sk @ yk
+        if sy > 0.0:
+            a = eye - np.outer(sk, yk) / sy
+            h = a @ h @ a.T + np.outer(sk, sk) / sy
+    return x, f
 
 
 def _diamond(apply2, r_worst, worst):
@@ -422,23 +464,24 @@ def _diamond(apply2, r_worst, worst):
     signs of X's eigenvalues; other inputs with that state differ by an
     ancilla unitary, which the trace norm does not see.  So
     f(c) = (1/2)||K||_1 / tr X^2 is Watrous's SDP optimum at that state
-    (arXiv:1207.5726), concave in it, and BFGS with the gradient
-    d||K||_1/dc_k = 2 Re tr(P (1 (x) P_k) J S), P the sign matrix of K,
-    finds the maximum from the centre and from the pure state that puts
-    the system in the worst single-qubit state (mirrored: the complex
-    conjugate), so the value is never below the worst-case trace norm.
-    ``params`` holds the 8 reals of the maximizing input.
+    (arXiv:1207.5726), concave in it, and BFGS (:func:`_bfgs`, numpy only)
+    with the gradient d||K||_1/dc_k = 2 Re tr(P (1 (x) P_k) J S), P the
+    sign matrix of K, finds the maximum from the centre and from the pure
+    state that puts the system in the worst single-qubit state (mirrored:
+    the complex conjugate), so the value is never below the worst-case
+    trace norm.  ``params`` holds the 8 reals of the maximizing input.
 
     ``certified_gap`` is ``upper - value``, ``upper`` the least
     :func:`_dual_bound` over the argmax state shrunk toward I/2 by
-    1e-4 ... 1e-12 (Z needs it invertible).  ``upper`` includes a rounding
-    allowance: twice the measured shortfall of the computed Z from Z >= J
-    and Z >= 0, plus 32 eps (||Z||_F + ||J||_F).
+    1e-4 ... 1e-12 (Z needs it invertible), all five shrinks in one
+    stacked evaluation.  ``upper`` includes a rounding allowance: twice
+    the measured shortfall of the computed Z from Z >= J and Z >= 0, plus
+    32 eps (||Z||_F + ||J||_F).
     """
-    from scipy.optimize import minimize
-
-    j = sum(np.kron(apply2(e) - e, e)
-            for e in np.eye(4, dtype=complex).reshape(4, 2, 2))
+    # J[(a, k), (b, l)] = (T - id)(|k><l|)[a, b].
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    images = np.stack([apply2(e) - e for e in units])
+    j = images.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
     def neg(c):
         # -f(c) and its gradient, with tr X^2 = 2 c.c.
@@ -450,15 +493,14 @@ def _diamond(apply2, r_worst, worst):
         return -n / (4.0 * cc), (2.0 * n * c / cc - dn) / (4.0 * cc)
 
     mirrored = 0.5 * np.concatenate([[1.0], r_worst * [1.0, -1.0, 1.0]])
-    res = min((minimize(neg, c0, jac=True, method="BFGS",
-                        options={"gtol": 1e-10})
-               for c0 in (np.array([1.0, 0.0, 0.0, 0.0]), mirrored)),
-              key=lambda r: r.fun)
-    x = np.tensordot(res.x, _LIFTED, 1)[:2, :2]
+    c, f = min((_bfgs(neg, c0)
+                for c0 in (np.array([1.0, 0.0, 0.0, 0.0]), mirrored)),
+               key=lambda res: res[1])
+    x = np.tensordot(c, _LIFTED, 1)[:2, :2]
     sigma = x @ x / np.trace(x @ x).real
-    value = max(-float(res.fun), float(worst))
-    upper = min(_dual_bound(j, (1.0 - e) * sigma + 0.5 * e * ID2)
-                for e in 10.0 ** -np.arange(4, 13, 2))
+    value = max(-float(f), float(worst))
+    shrinks = 10.0 ** -np.arange(4, 13, 2)[:, None, None]
+    upper = _dual_bound(j, (1.0 - shrinks) * sigma + 0.5 * shrinks * ID2).min()
     v = x.T.ravel() / np.linalg.norm(x)
     return ExtremumEstimate(np.concatenate([v.real, v.imag]), value,
                             float(upper) - value, "certified")

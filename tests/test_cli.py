@@ -158,7 +158,13 @@ def test_eval_rejects_unnormalized_raw(tmp_path, capsys):
     ({"family": "diagonal", "b1": float("nan"), "b2": 0.5}, "instrument.b1"),
     ({"family": "diagonal", "b1": 0.5, "b2": 0.5, "beta2": 10**400},
      "instrument.beta2"),
-], ids=["overflowing-raw", "beta-inf", "b1-nan", "beta2-huge"])
+    *(({"family": "raw",
+        "k1": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "k2": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [entry, 0.0]]]},
+       "instrument.k2: entry [1][1][0]")
+      for entry in ("0.7071067811865476", False, None)),
+], ids=["overflowing-raw", "beta-inf", "b1-nan", "beta2-huge", "raw-string",
+        "raw-bool", "raw-null"])
 def test_eval_rejects_unusable_numbers(tmp_path, capsys, caplog, desc, field):
     f = tmp_path / "ins.json"
     f.write_text(json.dumps(desc))

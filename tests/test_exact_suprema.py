@@ -10,7 +10,9 @@ The diamond kind's deterministic solve is cross-checked the same way
 against ``maximize_over_bipartite_pure_states`` on the 4x4 objective
 (1/2)||(T (x) id)(v v^dag) - v v^dag||_1, built here from the Kraus pair
 or the replacement form; its dual upper bound must lie at or above the
-oracle's value.
+oracle's value.  It is also checked against ``reference_diamond``, the
+solve as it was with scipy's BFGS, Kronecker-built Choi matrix and a
+dual bound taken one shrink at a time.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from qtradeoff import verification
 from qtradeoff.instruments import (
@@ -32,9 +35,13 @@ from qtradeoff.instruments import (
 from qtradeoff.measures import (
     MeasureKind,
     TARGET_POVM,
+    _bloch_affine,
+    _channel_map,
+    _dual_bound,
     _random_instrument,
     _random_povm,
     _random_unitary,
+    _worst_trace,
     disturbance_estimate,
     measurement_error_estimate,
 )
@@ -323,6 +330,128 @@ def test_diamond_optimal_family_equals_worst_case(gamma):
     ins = make_optimal_instrument(OptimalFamilyParams(gamma))
     value, worst = check_diamond(ins, oracle=False)
     assert value == pytest.approx(worst, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# diamond kind: the numpy solve against the scipy-BFGS reference
+# ---------------------------------------------------------------------------
+
+LIFTED = np.kron(np.eye(2), np.stack([np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z]))
+SHRINKS = 10.0 ** -np.arange(4, 13, 2)
+
+
+def reference_dual_bound(j, sigma):
+    # The dual bound at one state, one shrink at a time, S built with kron.
+    w, u = np.linalg.eigh(sigma)
+    s, s_inv = (np.kron(np.eye(2), (u * w**p) @ dag(u)) for p in (0.5, -0.5))
+    evals, vecs = np.linalg.eigh(s @ j @ s)
+    z = s_inv @ (vecs * np.maximum(evals, 0.0)) @ dag(vecs) @ s_inv
+    mu = max(0.0, -np.linalg.eigvalsh(z - j)[0], -np.linalg.eigvalsh(z)[0])
+    mu += 16.0 * np.finfo(float).eps * (np.linalg.norm(z) + np.linalg.norm(j))
+    tr_out = np.einsum("ikil->kl", z.reshape(2, 2, 2, 2))
+    return np.linalg.eigvalsh(tr_out)[-1] + 2.0 * mu
+
+
+def reference_choi(channel):
+    apply2 = _channel_map(channel)[0]
+    return sum(np.kron(apply2(e) - e, e)
+               for e in np.eye(4, dtype=complex).reshape(4, 2, 2))
+
+
+def reference_diamond(channel):
+    """The diamond solve as it was with scipy's BFGS: the same objective,
+    starts, floor and dual bound, J built from Kronecker products and the
+    bound taken one shrink at a time.  Returns (value, upper)."""
+    j = reference_choi(channel)
+    r_worst, worst = _worst_trace(*_bloch_affine(_channel_map(channel)[0]))
+
+    def neg(c):
+        s = np.tensordot(c, LIFTED, 1)
+        evals, vecs = np.linalg.eigh(s @ j @ s)
+        n, cc = np.abs(evals).sum(), c @ c
+        dn = 2.0 * np.einsum("kab,ba->k", LIFTED,
+                             j @ s @ (vecs * np.sign(evals)) @ dag(vecs)).real
+        return -n / (4.0 * cc), (2.0 * n * c / cc - dn) / (4.0 * cc)
+
+    mirrored = 0.5 * np.concatenate([[1.0], r_worst * [1.0, -1.0, 1.0]])
+    res = min((minimize(neg, c0, jac=True, method="BFGS",
+                        options={"gtol": 1e-10})
+               for c0 in (np.array([1.0, 0.0, 0.0, 0.0]), mirrored)),
+              key=lambda r: r.fun)
+    x = np.tensordot(res.x, LIFTED, 1)[:2, :2]
+    sigma = x @ x / np.trace(x @ x).real
+    value = max(-float(res.fun), float(worst))
+    upper = min(reference_dual_bound(j, (1.0 - e) * sigma + 0.5 * e * np.eye(2))
+                for e in SHRINKS)
+    return value, float(upper)
+
+
+def check_against_reference(channel):
+    """The numpy solve agrees with the scipy one to 1e-12, is never more
+    than 1e-12 below it nor above its dual bound, and its certificate
+    meets check_diamond's gate.
+
+    Both solvers maximize the same f and stop where it is flat to
+    rounding: every gradient entry below 1e-10, which with curvature of
+    order one leaves f about 1e-20 below its maximum, or (numpy) a step
+    that gains at most 4 eps |f|.  What remains is the rounding of f, the
+    sum of the absolute eigenvalues of a 4x4 Hermitian K with ||K|| <= 2:
+    eigh's backward error is a small multiple of eps ||K||, so f errs by
+    well under 1e-13 at each solver's point.  1e-12 leaves a factor of ten
+    over that for weaker curvature; a different local stop would show at
+    1e-8 or more.  A solve that fell short by more than rounding would
+    show as the one-sided bound.  The reference's upper bound certifies
+    the true maximum, which the computed value can exceed only by the
+    same rounding of f.
+    """
+    est = disturbance_estimate(channel, MeasureKind.DIAMOND)
+    value, upper = reference_diamond(channel)
+    assert abs(est.value - value) <= 1e-12
+    assert est.value >= value - 1e-12
+    assert est.value <= upper + 1e-12
+    assert 0.0 <= est.certified_gap <= 1e-6
+
+
+REFERENCE_PROPERTY = settings(max_examples=200, deadline=None,
+                              derandomize=True)
+
+
+@REFERENCE_PROPERTY
+@given(seeds)
+def test_diamond_matches_scipy_reference_on_random_instruments(seed):
+    check_against_reference(_random_instrument(np.random.default_rng(seed)))
+
+
+@REFERENCE_PROPERTY
+@given(seeds)
+def test_diamond_matches_scipy_reference_on_replacement_channels(seed):
+    check_against_reference(random_replacement(np.random.default_rng(seed)))
+
+
+@PROPERTY
+@given(seeds, st.sampled_from([0.3, 0.9, 1.0]))
+def test_stacked_dual_bound_matches_per_shrink_loop(seed, radius):
+    """One stacked evaluation of the five shrinks against the loop.
+
+    Both run the same operations on every shrink (one LAPACK call per
+    matrix, one product per matrix, 1 (x) sqrt(sigma) with exact zeros off
+    its blocks), so they should agree to the last bit.  1e-14 relative, a
+    few dozen eps, allows only for a different order of the 4-term sums
+    in a batched product.  Radius 1 is a pure state, whose 1e-12 shrink
+    is the worst conditioned.
+    """
+    rng = np.random.default_rng(seed)
+    channel = (_random_instrument(rng) if seed % 2
+               else random_replacement(rng))
+    v = rng.standard_normal(3)
+    sigma = bloch_to_density(radius * v / np.linalg.norm(v))
+    states = ((1.0 - SHRINKS[:, None, None]) * sigma
+              + 0.5 * SHRINKS[:, None, None] * np.eye(2))
+    j = reference_choi(channel)
+    stacked = _dual_bound(j, states)
+    loop = np.array([reference_dual_bound(j, x) for x in states])
+    assert stacked.shape == loop.shape
+    assert np.all(np.abs(stacked - loop) <= 1e-14 * np.abs(loop))
 
 
 # ---------------------------------------------------------------------------

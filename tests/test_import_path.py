@@ -1,9 +1,9 @@
-"""``import qtradeoff`` and every path but the diamond kind stay numpy-only.
+"""``import qtradeoff`` and every CLI path stay numpy-only.
 
 ``scipy.optimize`` costs more start-up time and memory than the rest of
-the package together, and only the diamond kind's BFGS solve (and the
-test oracles) call it.  Each check runs in a fresh interpreter that
-imports the package from this checkout.
+the package together, and only the test oracles in ``supopt`` call it;
+the diamond kind's BFGS solve is numpy.  Each check runs in a fresh
+interpreter that imports the package from this checkout.
 """
 
 import json
@@ -20,7 +20,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(qtradeoff.__file__)))
 
 # Every non-diamond kind of every sweep scheme, `eval`, and `experiment`
 # on a config whose target fit takes the rim branch (amplitude 1); then
-# one diamond call, which loads scipy.optimize.
+# the diamond kind through `eval` and `sweep`.
 GUARD = """
 import json, sys
 from qtradeoff.cli import main
@@ -43,7 +43,9 @@ with open("rim/estimate.json") as fh:
     assert json.load(fh)["diagnostics"]["delta"]["amplitude"] == 1.0
 assert not loaded(), loaded()
 run("eval", "--instrument", "ins.json", "--kind", "diamond")
-assert "scipy.optimize" in loaded()
+run("sweep", "--scheme", "cloner", "--kind", "diamond", "--steps", "3",
+    "--out", "cloner-diamond.csv")
+assert not loaded(), loaded()
 print("ok")
 """
 
@@ -55,7 +57,7 @@ def run_fresh(args, cwd):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_scipy_optimize_is_loaded_only_by_the_diamond_kind(tmp_path):
+def test_no_cli_path_loads_scipy_optimize(tmp_path):
     (tmp_path / "ins.json").write_text(
         json.dumps({"family": "optimal", "gamma": 0.5, "beta": 0.0}))
     (tmp_path / "rim.json").write_text(json.dumps({

@@ -264,10 +264,14 @@ def test_descriptor_rejects_unusable_numbers(family, name, value):
         instrument_from_descriptor(desc)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
-                         ids=["nan", "inf", "1e400"])
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), 10**400, "0.7071067811865476", False, None,
+], ids=["nan", "inf", "1e400", "string", "bool", "null"])
 def test_descriptor_rejects_unusable_matrix_entries(value):
+    # Each entry is a JSON number or rejected by its index; a string or a
+    # boolean is never coerced.
     k1 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     k2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [value, 0.0]]]
-    with pytest.raises(ValueError, match=r"^instrument\.k2: "):
+    with pytest.raises(ValueError,
+                       match=r"^instrument\.k2: entry \[1\]\[1\]\[0\]: "):
         instrument_from_descriptor({"family": "raw", "k1": k1, "k2": k2})

@@ -6,9 +6,16 @@ Newton iteration on phi^(-1/2): ``scipy.optimize.brentq`` on the secular
 equation over the bracket [top + |beta_top| / 2, top + 2 |b|], with the
 same hard case.  Both results are also checked against the objective at
 fixed sample points of the sphere, which share no code with either.
+
+Near the hard case the returned vector itself is checked against a
+60-digit bisection of the secular equation with the standard library's
+``decimal``.
 """
 
+from decimal import Decimal, localcontext
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -105,3 +112,53 @@ def test_newton_root_matches_bracketed_reference(problem):
     sampled = np.max(np.einsum("ki,ij,kj->k", x, h, x) + 2.0 * x @ b)
     assert objective(h, b, r) >= sampled - tol
 
+
+
+def decimal_argmax(gaps, beta):
+    """The argmax in the eigenbasis of h = -diag(gaps), top eigenvalue 0
+    last, by 200 bisections of phi(mu) = 1 over [|beta_top| / 2, 2 |b|] in
+    60-digit decimals; also s = 2 sum_i y_i^2 mu / (mu + gap_i), the
+    relative slope -mu phi'(mu) at the root."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g, b = [Decimal(x) for x in gaps], [Decimal(x) for x in beta]
+
+        def phi(mu):
+            return sum((bi / (mu + gi)) ** 2 for bi, gi in zip(b, g))
+
+        lo, hi = abs(b[-1]) / 2, 2 * sum(bi * bi for bi in b).sqrt()
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if phi(mid) > 1 else (lo, mid)
+        y = [bi / (lo + gi) for bi, gi in zip(b, g)]
+        s = 2 * sum(yi * yi * lo / (lo + gi) for yi, gi in zip(y, g))
+        return np.array([float(v) for v in y]), float(s)
+
+
+@pytest.mark.parametrize("tail_reaches_one", [True, False])
+@pytest.mark.parametrize("seed", range(10))
+def test_near_hard_case_argmax_matches_high_precision_root(seed,
+                                                           tail_reaches_one):
+    """beta_top around 1e-9: every component of the argmax, the small top
+    one included, to 64 eps relative.
+
+    With h diagonal and its top eigenvalue 0, h, b and the gaps are exact
+    in floats, so only the root and the division round.  Each term of
+    phi carries at most 4 eps relative rounding and the sum 2 more, which
+    moves the root by at most 6 eps / s relative; the Newton stop adds at
+    most 4 eps.  y_i = beta_i / (mu + gap_i) then errs by at most that
+    plus 2 eps, and renormalising at most doubles it and adds 2 eps:
+    14 eps + 12 eps / s in all, below 64 eps for s >= 1/4, which is
+    asserted.  The tail alone has phi(0) >= 2 when it reaches one (the top
+    component is then about 1e-9), and phi(0) <= 0.72 when it does not.
+    """
+    rng = np.random.default_rng(seed)
+    gaps = np.append(np.sort(rng.uniform(0.5, 2.0, 2))[::-1], 0.0)
+    scale = (1.0, 2.0) if tail_reaches_one else (0.2, 0.6)
+    signs = rng.choice([-1.0, 1.0], 3)
+    beta = signs * np.append(gaps[:2] * rng.uniform(*scale, 2),
+                             1e-9 * rng.uniform(0.5, 2.0))
+    exact, s = decimal_argmax(gaps, beta)
+    assert s >= 0.25
+    r = _sphere_argmax(-np.diag(gaps), beta)
+    assert np.all(np.abs(r - exact) <= 64 * np.finfo(float).eps * np.abs(exact))
