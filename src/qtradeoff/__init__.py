@@ -34,27 +34,19 @@ from .measures import (
     tradeoff_of,
 )
 from .qmath import (
-    FLIP,
     ID2,
-    ID4,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     NotHermitian,
     herm_eigvals,
-    partial_trace,
-    tensor,
-    trace_norm,
 )
 from .schemes import (
     ClonerParams,
     MarginalChannelSpec,
     SwapParams,
-    cloner_channel,
-    cloner_marginals,
     cloner_tradeoff_point,
     optimal_frontier,
-    swap_marginals,
     swap_tradeoff_point,
 )
 from .states import (
@@ -68,8 +60,6 @@ from .supopt import (
     DegenerateFit,
     ExtremumEstimate,
     SupremumStrategy,
-    maximize_over_bipartite_pure_states,
-    maximize_over_pure_states,
     parabolic_refine,
 )
 from .experiment import (

@@ -28,8 +28,10 @@ found by a safeguarded Newton iteration on phi^(-1/2)
 (``method == "exact"``).  The averaged kind is one vectorised quadrature
 (``method == "quadrature"``).  The diamond kind is a concave maximization
 over the ancilla state, one deterministic BFGS solve in numpy whose value
-comes with a dual upper bound (``method == "certified"``).  No kind loads
-``scipy.optimize``; only the test oracles in ``supopt`` use scipy.
+comes with a dual upper bound (``method == "certified"``).  No kind
+searches, and the package needs numpy alone; the grid plus Nelder-Mead
+maximizers that cross-check every kind are test oracles and live with
+the tests.
 
 The random-sampling axiom checker takes an explicit seeded generator.
 """
@@ -355,7 +357,9 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
     (an object with ``weight`` and ``replacement``), or a bare linear
     callable on 2x2 states (all kinds except diamond).  The channel must
     be trace-preserving (ValueError otherwise).  ``strategy`` is never
-    read; the benchmark's diamond workload still passes one there.
+    read: no kind searches.  It stays only because the benchmark's diamond
+    workload passes a :class:`~qtradeoff.supopt.SupremumStrategy` there
+    positionally; removing it waits for a change to the benchmark.
     """
     try:
         kind = MeasureKind(kind)
@@ -470,6 +474,11 @@ def _diamond(apply2, r_worst, worst):
     state that puts the system in the worst single-qubit state (mirrored:
     the complex conjugate), so the value is never below the worst-case
     trace norm.  ``params`` holds the 8 reals of the maximizing input.
+    The maximum is flat to second order and the solve stops on a 1e-10
+    gradient, so the value is fixed to rounding but the argmax only to
+    about 1e-7: solvers that agree on the value to 1e-15 return inputs up
+    to about 3e-7 apart.  ``eval --kind diamond`` prints it with 16
+    digits all the same; the digits beyond the seventh carry no meaning.
 
     ``certified_gap`` is ``upper - value``, ``upper`` the least
     :func:`_dual_bound` over the argmax state shrunk toward I/2 by

@@ -12,10 +12,13 @@ Two standard procedures serve as baselines for the optimal instruments:
   with a1 = sin t, a2 = cos t, t in [0, pi/2].  For the tradeoff curve
   the ancilla is the maximally mixed state (the optimal choice).
 
-Both marginal channels have the replacement form
-w * (1/2) + (1 - w) * rho, captured by :class:`MarginalChannelSpec`.
-Induced measurements are materialized through the duality
-tr(E' rho) = tr(E T_s'(rho)) rather than by building the dual map.
+Both marginal channels, the kept system and the measured output, have
+the replacement form w * (1/2) + (1 - w) * rho, captured by
+:class:`MarginalChannelSpec`: w = a1^2 for the kept system of either
+scheme, and w = a2^2 for the measured output.  Only these marginals are
+built; the two-qubit channels are not.  A measurement E applied after a
+replacement channel induces E' = w tr(E rep) 1 + (1 - w) E on the input,
+the dual of the channel, from tr(E' rho) = tr(E T_s'(rho)).
 
 Closed-form curves (as functions of the measurement error d <= 1/2):
 optimal frontier (1/2)(sqrt(1-d) - sqrt(d))^2, cloner
@@ -30,21 +33,17 @@ import numpy as np
 
 from .instruments import Povm
 from .measures import TradeoffPoint, TARGET_POVM
-from .qmath import FLIP, ID2, ID4, dag, partial_trace, tensor
+from .qmath import ID2
 from .states import MAXIMALLY_MIXED, validate_density
 
 __all__ = [
     "ClonerParams",
     "SwapParams",
     "MarginalChannelSpec",
-    "cloner_channel",
-    "cloner_marginals",
     "cloner_induced_povm",
     "cloner_system_channel_spec",
     "cloner_tradeoff_point",
     "cloner_tradeoff_curve",
-    "swap_channel",
-    "swap_marginals",
     "swap_induced_povm",
     "swap_system_channel_spec",
     "swap_tradeoff_point",
@@ -115,43 +114,16 @@ class MarginalChannelSpec:
             + (1.0 - self.weight) * rho
 
 
-def _povm_via_duality(apply_marginal) -> Povm:
-    # E'_j[m, n] = tr(E_j T(|n><m|)); evaluates the dual map entrywise.
-    elems = []
-    for target in (TARGET_POVM.e1, TARGET_POVM.e2):
-        e = np.zeros((2, 2), dtype=complex)
-        for m in range(2):
-            for n in range(2):
-                basis = np.zeros((2, 2), dtype=complex)
-                basis[n, m] = 1.0
-                e[m, n] = np.trace(target @ apply_marginal(basis))
-        elems.append(e)
-    return Povm(elems[0], elems[1])
+def _induced_povm(spec: MarginalChannelSpec) -> Povm:
+    # The target measurement after T: E'_j = w tr(E_j rep) 1 + (1 - w) E_j.
+    w = spec.weight
+    return Povm(*(w * np.trace(e @ spec.replacement) * ID2 + (1.0 - w) * e
+                  for e in (TARGET_POVM.e1, TARGET_POVM.e2)))
 
 
 # ---------------------------------------------------------------------------
 # Optimal universal asymmetric cloner
 # ---------------------------------------------------------------------------
-
-def cloner_channel(p: ClonerParams, rho) -> np.ndarray:
-    """Two-qubit output of the cloning channel on input rho."""
-    rho = validate_density(rho)
-    w = p.a2 * ID4 + p.a1 * FLIP
-    return w @ tensor(rho, MAXIMALLY_MIXED) @ w
-
-
-def cloner_marginals(p: ClonerParams, rho):
-    """(T_s(rho), T_s'(rho)): the kept system and the measured clone.
-
-    Each marginal is a_i^2 * 1/2 + (1 - a_i^2) * rho with i = 1 for the
-    system and i = 2 for the clone; this equals the corresponding partial
-    trace of :func:`cloner_channel`.
-    """
-    rho = validate_density(rho)
-    t_s = p.a1**2 * MAXIMALLY_MIXED + (1.0 - p.a1**2) * rho
-    t_sp = p.a2**2 * MAXIMALLY_MIXED + (1.0 - p.a2**2) * rho
-    return t_s, t_sp
-
 
 def cloner_system_channel_spec(p: ClonerParams) -> MarginalChannelSpec:
     """The system marginal as a replacement-form channel."""
@@ -160,8 +132,7 @@ def cloner_system_channel_spec(p: ClonerParams) -> MarginalChannelSpec:
 
 def cloner_induced_povm(p: ClonerParams) -> Povm:
     """Measurement induced on the input by measuring the clone."""
-    spec = MarginalChannelSpec(p.a2**2, MAXIMALLY_MIXED)
-    return _povm_via_duality(spec.apply)
+    return _induced_povm(MarginalChannelSpec(p.a2**2, MAXIMALLY_MIXED))
 
 
 def cloner_tradeoff_point(p: ClonerParams) -> TradeoffPoint:
@@ -183,25 +154,6 @@ def cloner_tradeoff_curve(delta: float) -> float:
 # Coherent swap
 # ---------------------------------------------------------------------------
 
-def swap_channel(p: SwapParams, rho, ancilla=None) -> np.ndarray:
-    """Two-qubit output exp(i t F)(rho (x) anc) exp(-i t F)."""
-    rho = validate_density(rho)
-    anc = MAXIMALLY_MIXED if ancilla is None else validate_density(ancilla)
-    w = p.a2 * ID4 + 1j * p.a1 * FLIP
-    return w @ tensor(rho, anc) @ dag(w)
-
-
-def swap_marginals(p: SwapParams, rho, ancilla=None):
-    """(T_s(rho), T_s'(rho)) via partial traces of the explicit channel.
-
-    With the default maximally mixed ancilla these reduce to
-    T_s = a1^2 anc + (1 - a1^2) rho and T_s' = (1 - a1^2) anc + a1^2 rho;
-    for a general ancilla the commutator terms are kept.
-    """
-    out = swap_channel(p, rho, ancilla)
-    return partial_trace(out, "second"), partial_trace(out, "first")
-
-
 def swap_system_channel_spec(p: SwapParams) -> MarginalChannelSpec:
     """System marginal for the maximally mixed ancilla."""
     return MarginalChannelSpec(p.a1**2, MAXIMALLY_MIXED)
@@ -210,8 +162,7 @@ def swap_system_channel_spec(p: SwapParams) -> MarginalChannelSpec:
 def swap_induced_povm(p: SwapParams) -> Povm:
     """Measurement induced on the input (maximally mixed ancilla), through
     the measured marginal a2^2 * 1/2 + (1 - a2^2) * rho."""
-    spec = MarginalChannelSpec(p.a2**2, MAXIMALLY_MIXED)
-    return _povm_via_duality(spec.apply)
+    return _induced_povm(MarginalChannelSpec(p.a2**2, MAXIMALLY_MIXED))
 
 
 def swap_tradeoff_point(p: SwapParams) -> TradeoffPoint:

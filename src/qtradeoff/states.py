@@ -42,8 +42,6 @@ def validate_density(rho, tol=_DENSITY_TOL):
     Returns the validated array; raises ValueError on violation.
     """
     a = _as_matrix(rho, "rho")
-    if a.shape != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got {a.shape}")
     if np.linalg.norm(a - a.conj().T) > tol * max(1.0, np.linalg.norm(a)):
         raise ValueError("density matrix is not Hermitian")
     tr = np.trace(a).real

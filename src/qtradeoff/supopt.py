@@ -1,21 +1,16 @@
-"""Supremum engine: maximize scalar objectives over pure qubit states and
-over bipartite (two-qubit) pure states, plus a parabolic extremum fit.
+"""Result records of the measures and the parabolic extremum fit.
 
-Strategy: a coarse deterministic scan brackets the maximum, then
-Nelder-Mead refinement is started from the best candidates.  Derivative
-free refinement is used on purpose, trace-norm objectives are not smooth
-at eigenvalue crossings.  The returned value is never below the best
-coarse-scan value, and identical inputs always give identical outputs
-(multistart candidates derive deterministically from the strategy).
+:class:`ExtremumEstimate` carries a value together with its argmax and how
+it was obtained; :func:`parabolic_refine` fits a parabola through samples
+around an extremum (the experiment's vertex estimate).
 
 No runtime path searches: the measures compute their state suprema
-exactly and the diamond norm as one deterministic solve with a dual
-bound (:mod:`qtradeoff.measures`).  :func:`maximize_over_pure_states` and
-:func:`maximize_over_bipartite_pure_states` are kept as the independent
-oracles the tests check the measures against.  They import
-``scipy.optimize`` on their first call, so importing this module does not.
-
-Objectives must be pure functions.
+exactly and the diamond norm as one deterministic solve with a dual bound
+(:mod:`qtradeoff.measures`).  The grid plus Nelder-Mead searches that the
+tests use as independent oracles live with the tests.
+:class:`SupremumStrategy` holds their knobs; the benchmark's diamond
+workload still builds one and passes it to
+:func:`qtradeoff.measures.disturbance_estimate`, which never reads it.
 """
 
 from __future__ import annotations
@@ -24,14 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import pure_state
-
 __all__ = [
     "SupremumStrategy",
     "ExtremumEstimate",
     "DegenerateFit",
-    "maximize_over_pure_states",
-    "maximize_over_bipartite_pure_states",
     "parabolic_refine",
 ]
 
@@ -42,12 +33,14 @@ class DegenerateFit(ValueError):
 
 @dataclass(frozen=True)
 class SupremumStrategy:
-    """Knobs for the coarse-scan + refine maximizers.
+    """Knobs for the coarse-scan + refine maximizers of the test oracles.
 
     coarse_grid_points is the number of samples per angle (the bipartite
     maximizer draws coarse_grid_points^2 seeded random points instead of a
     mesh).  refine_iterations bounds the Nelder-Mead
-    iteration count per parameter.
+    iteration count per parameter.  No runtime path reads a strategy; the
+    benchmark's diamond workload still passes one to
+    :func:`qtradeoff.measures.disturbance_estimate`.
     """
 
     coarse_grid_points: int = 64
@@ -72,113 +65,16 @@ class ExtremumEstimate:
     (a solve of a concave problem; ``value + certified_gap`` is a dual
     upper bound on the supremum), ``"quadrature"`` (a fixed
     quadrature rule, not a supremum; ``certified_gap`` is 0) or
-    ``"numeric"`` (scan plus refinement).  For ``"numeric"``,
-    ``certified_gap`` is the best coarse-scan value minus the refined value
-    (<= 0 means refinement only improved); it bounds nothing.
+    ``"numeric"`` (a fit or a search: :func:`parabolic_refine`, whose
+    ``certified_gap`` is the best sample minus the vertex value, and the
+    test oracles' scan plus refinement, whose gap is the best coarse-scan
+    value minus the refined value).  A ``"numeric"`` gap bounds nothing.
     """
 
     params: np.ndarray
     value: float
     certified_gap: float
     method: str = "numeric"
-
-
-DEFAULT_STRATEGY = SupremumStrategy()
-
-
-def _refine(neg, x0, strategy):
-    from scipy.optimize import minimize
-
-    opts = {
-        "maxiter": strategy.refine_iterations * len(x0),
-        "xatol": 1e-7,
-        "fatol": 0.01 * strategy.tolerance,
-    }
-    return minimize(neg, x0, method="Nelder-Mead", options=opts)
-
-
-def _seeded_rng(s, entropy):
-    seed = np.random.SeedSequence(
-        entropy=entropy,
-        spawn_key=(s.coarse_grid_points, s.refine_iterations, s.multistarts),
-    )
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-def _multistart(neg, params, vals, extra_starts, s, decode):
-    # Refine from the `multistarts` best scanned params, then from the
-    # extra starts; never return less than the best scanned value.
-    order = np.argsort(vals, kind="stable")[::-1]
-    grid_best = float(vals[order[0]])
-    best_val, best = grid_best, params[order[0]]
-    for x0 in [params[i] for i in order[: s.multistarts]] + list(extra_starts):
-        res = _refine(neg, x0, s)
-        if -res.fun > best_val:
-            best_val, best = float(-res.fun), decode(res.x)
-    return ExtremumEstimate(best, best_val, grid_best - best_val)
-
-
-def maximize_over_pure_states(f, strategy=None) -> ExtremumEstimate:
-    """Maximize f(rho) over pure qubit states rho.
-
-    The state is parametrized by Bloch angles (theta, phi); the coarse
-    stage scans an n x n spherical grid.
-    """
-    s = strategy or DEFAULT_STRATEGY
-    n = s.coarse_grid_points
-    th, ph = np.meshgrid(np.linspace(0.0, np.pi, n),
-                         np.linspace(0.0, 2.0 * np.pi, n, endpoint=False),
-                         indexing="ij")
-    params = np.column_stack([th.ravel(), ph.ravel()])
-    vals = np.array([f(pure_state(*x)) for x in params])
-    return _multistart(lambda x: -f(pure_state(x[0], x[1])), params, vals,
-                       (), s, lambda x: np.asarray(x, dtype=float))
-
-
-_BELL_STATES = np.array(
-    [
-        [1.0, 0.0, 0.0, 1.0],
-        [1.0, 0.0, 0.0, -1.0],
-        [0.0, 1.0, 1.0, 0.0],
-        [0.0, 1.0, -1.0, 0.0],
-    ],
-    dtype=complex,
-) / np.sqrt(2.0)
-
-_BASIS4 = np.eye(4, dtype=complex)
-
-
-def _reals(v):
-    # 8 reals (real parts, then imaginary parts) of v normalized.
-    v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return np.concatenate([v.real, v.imag])
-
-
-def maximize_over_bipartite_pure_states(f, strategy=None, extra_starts=()) -> ExtremumEstimate:
-    """Maximize f(v) over unit vectors v in C^4 (modulo global phase).
-
-    f receives a normalized complex 4-vector; ``params`` holds the real
-    parts, then the imaginary parts, of the best v.  The coarse stage uses
-    coarse_grid_points^2 seeded Gaussian directions; refinement always
-    also starts from the computational basis vectors, the four maximally
-    entangled (Bell) vectors, and any caller-supplied ``extra_starts``.
-    """
-    s = strategy or DEFAULT_STRATEGY
-    rng = _seeded_rng(s, 0x51B0_11AD)
-    raw = rng.standard_normal((s.coarse_grid_points**2, 8))
-    samples = raw[:, :4] + 1j * raw[:, 4:]
-    samples /= np.linalg.norm(samples, axis=1)[:, None]
-
-    def neg(x):
-        v = x[:4] + 1j * x[4:]
-        n = np.linalg.norm(v)
-        return np.inf if n < 1e-12 else -f(v / n)
-
-    starts = [_reals(v) for v in (*_BASIS4, *_BELL_STATES, *extra_starts)]
-    return _multistart(neg, np.concatenate([samples.real, samples.imag], axis=1),
-                       np.array([f(v) for v in samples]), starts, s,
-                       lambda x: _reals(x[:4] + 1j * x[4:]))
 
 
 def parabolic_refine(points) -> ExtremumEstimate:

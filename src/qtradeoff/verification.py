@@ -41,7 +41,6 @@ from .measures import (
     disturbance_estimate,
     measurement_error,
 )
-from .qmath import trace_norm
 
 __all__ = ["CheckResult", "run_checks"]
 
@@ -245,7 +244,7 @@ def check_extremal_states(tol=1e-14) -> CheckResult:
     degrees and is maximal at 0 and 180; the disturbance integrand
     vanishes at 0 and 180 and peaks at 90.
     """
-    from .states import linear_pol_state
+    from .states import density_to_bloch, linear_pol_state
 
     worst = 0.0
     for gamma in (0.2, 0.5, 0.8):
@@ -259,8 +258,10 @@ def check_extremal_states(tol=1e-14) -> CheckResult:
             return abs(actual - ideal)
 
         def dist_integrand(theta):
+            # Trace distance: half the Euclidean distance of Bloch vectors.
             rho = linear_pol_state(theta)
-            return 0.5 * trace_norm(apply_channel(ins, rho) - rho)
+            return 0.5 * np.linalg.norm(
+                density_to_bloch(apply_channel(ins, rho) - rho))
 
         worst = max(worst, err_integrand(90.0), err_integrand(270.0),
                     dist_integrand(0.0), dist_integrand(180.0))

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from oracles import maximize_over_bipartite_pure_states, maximize_over_pure_states
 from qtradeoff import verification
 from qtradeoff.instruments import (
     Instrument,
@@ -48,11 +49,7 @@ from qtradeoff.measures import (
 from qtradeoff.qmath import SIGMA_X, SIGMA_Y, SIGMA_Z, dag
 from qtradeoff.schemes import MarginalChannelSpec
 from qtradeoff.states import bloch_to_density, pure_state
-from qtradeoff.supopt import (
-    SupremumStrategy,
-    maximize_over_bipartite_pure_states,
-    maximize_over_pure_states,
-)
+from qtradeoff.supopt import SupremumStrategy
 
 DENSE = SupremumStrategy(coarse_grid_points=48, refine_iterations=200,
                          tolerance=1e-12, multistarts=8)

@@ -1,8 +1,9 @@
 """``import qtradeoff`` and every CLI path stay numpy-only.
 
-``scipy.optimize`` costs more start-up time and memory than the rest of
-the package together, and only the test oracles in ``supopt`` call it;
-the diamond kind's BFGS solve is numpy.  Each check runs in a fresh
+The package's only runtime dependency is numpy; scipy is a test
+dependency of the oracles in ``tests/oracles.py`` and of the reference
+solvers.  ``scipy.optimize`` alone costs more start-up time and memory
+than the rest of the package together.  Each check runs in a fresh
 interpreter that imports the package from this checkout.
 """
 
@@ -18,18 +19,22 @@ import qtradeoff
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qtradeoff.__file__)))
 
-# Every non-diamond kind of every sweep scheme, `eval`, and `experiment`
-# on a config whose target fit takes the rim branch (amplitude 1); then
-# the diamond kind through `eval` and `sweep`.
+# `import qtradeoff`; every non-diamond kind of every sweep scheme, `eval`,
+# and `experiment` on a config whose target fit takes the rim branch
+# (amplitude 1); then the diamond kind through `eval` and `sweep`.  None
+# may load any scipy module.
 GUARD = """
 import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+import qtradeoff
+assert not loaded(), loaded()
 from qtradeoff.cli import main
 
 def run(*argv):
     assert main(list(argv)) == 0, argv
-
-def loaded():
-    return sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
 
 kinds = ["worst-case-trace-norm", "worst-case-hilbert-schmidt",
          "worst-case-infidelity", "state-averaged-trace-norm"]
@@ -57,7 +62,7 @@ def run_fresh(args, cwd):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_no_cli_path_loads_scipy_optimize(tmp_path):
+def test_no_cli_path_loads_scipy(tmp_path):
     (tmp_path / "ins.json").write_text(
         json.dumps({"family": "optimal", "gamma": 0.5, "beta": 0.0}))
     (tmp_path / "rim.json").write_text(json.dumps({

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import maximize_over_pure_states
 from qtradeoff.instruments import (
     DiagonalFamilyParams,
     OptimalFamilyParams,
@@ -22,7 +23,7 @@ from qtradeoff.measures import (
 )
 from qtradeoff.qmath import ID2, SIGMA_X, dag
 from qtradeoff.schemes import optimal_frontier
-from qtradeoff.supopt import SupremumStrategy, maximize_over_pure_states
+from qtradeoff.supopt import SupremumStrategy
 
 FAST = SupremumStrategy(coarse_grid_points=24, refine_iterations=60,
                         tolerance=1e-8, multistarts=4)

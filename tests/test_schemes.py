@@ -1,26 +1,24 @@
 import numpy as np
 import pytest
 
+from qtradeoff.instruments import Povm
 from qtradeoff.measures import (
+    TARGET_POVM,
     MeasureKind,
     disturbance,
     measurement_error,
 )
-from qtradeoff.qmath import ID2, partial_trace, tensor
+from qtradeoff.qmath import ID2
 from qtradeoff.schemes import (
     ClonerParams,
     MarginalChannelSpec,
     SwapParams,
-    cloner_channel,
     cloner_induced_povm,
-    cloner_marginals,
     cloner_system_channel_spec,
     cloner_tradeoff_curve,
     cloner_tradeoff_point,
     optimal_frontier,
-    swap_channel,
     swap_induced_povm,
-    swap_marginals,
     swap_system_channel_spec,
     swap_tradeoff_curve,
     swap_tradeoff_point,
@@ -28,6 +26,50 @@ from qtradeoff.schemes import (
 from qtradeoff.states import bloch_to_density, linear_pol_state
 
 PROJ_H = np.diag([1.0, 0.0]).astype(complex)
+# |j i><i j| summed: FLIP kron(a, b) FLIP == kron(b, a).
+FLIP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
+# ---------------------------------------------------------------------------
+# the two-qubit channels, which the package replaces by their marginals
+# ---------------------------------------------------------------------------
+
+def cloner_channel(p, rho):
+    """Two-qubit output (a2 1 + a1 F)(rho (x) 1/2)(a2 1 + a1 F)."""
+    w = p.a2 * np.eye(4) + p.a1 * FLIP
+    return w @ np.kron(rho, 0.5 * ID2) @ w
+
+
+def swap_channel(p, rho, ancilla=0.5 * ID2):
+    """Two-qubit output exp(i t F)(rho (x) anc) exp(-i t F)."""
+    w = p.a2 * np.eye(4) + 1j * p.a1 * FLIP
+    return w @ np.kron(rho, ancilla) @ w.conj().T
+
+
+def marginals(out):
+    """(kept system, measured output): the second, then the first qubit
+    traced out of a two-qubit operator."""
+    r = out.reshape(2, 2, 2, 2)
+    return np.einsum("ikjk->ij", r), np.einsum("kikj->ij", r)
+
+
+def cloner_marginals(p, rho):
+    """The package's replacement forms of the kept system and the clone."""
+    return (cloner_system_channel_spec(p).apply(rho),
+            MarginalChannelSpec(p.a2**2, 0.5 * ID2).apply(rho))
+
+
+def swap_marginals(p, rho, ancilla=0.5 * ID2):
+    return marginals(swap_channel(p, rho, ancilla))
+
+
+def dual_povm(apply):
+    """The target measurement after the linear map ``apply``, read off the
+    matrix units: E'_j[m, n] = tr(E_j T(|n><m|))."""
+    units = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # |n><m|
+    return Povm(*(np.array([[np.trace(e @ apply(units[n, m]))
+                             for n in range(2)] for m in range(2)])
+                  for e in (TARGET_POVM.e1, TARGET_POVM.e2)))
 
 
 def random_state(rng):
@@ -82,14 +124,14 @@ def test_cloner_channel_no_interaction():
     rng = np.random.default_rng(0)
     rho = random_state(rng)
     out = cloner_channel(ClonerParams.from_a2(1.0), rho)
-    assert np.allclose(out, tensor(rho, 0.5 * ID2), atol=1e-12)
+    assert np.allclose(out, np.kron(rho, 0.5 * ID2), atol=1e-12)
 
 
 def test_cloner_channel_full_flip():
     rng = np.random.default_rng(1)
     rho = random_state(rng)
     out = cloner_channel(ClonerParams(1.0, 0.0), rho)
-    assert np.allclose(out, tensor(0.5 * ID2, rho), atol=1e-12)
+    assert np.allclose(out, np.kron(0.5 * ID2, rho), atol=1e-12)
 
 
 def test_cloner_channel_trace_and_positivity():
@@ -111,9 +153,9 @@ def test_cloner_marginals_closed_form_and_partial_traces():
             t_s, t_sp = cloner_marginals(p, rho)
             assert np.allclose(t_s, p.a1**2 * 0.5 * ID2 + (1 - p.a1**2) * rho, atol=1e-12)
             assert np.allclose(t_sp, p.a2**2 * 0.5 * ID2 + (1 - p.a2**2) * rho, atol=1e-12)
-            out = cloner_channel(p, rho)
-            assert np.allclose(t_s, partial_trace(out, "second"), atol=1e-10)
-            assert np.allclose(t_sp, partial_trace(out, "first"), atol=1e-10)
+            out_s, out_sp = marginals(cloner_channel(p, rho))
+            assert np.allclose(t_s, out_s, atol=1e-10)
+            assert np.allclose(t_sp, out_sp, atol=1e-10)
 
 
 def test_cloner_marginal_boundary_identities():
@@ -213,7 +255,7 @@ def test_swap_channel_is_unitary_conjugation():
     rho, anc = random_state(rng), random_state(rng)
     out = swap_channel(p, rho, anc)
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-    inp = tensor(rho, anc)
+    inp = np.kron(rho, anc)
     assert np.allclose(np.sort(np.linalg.eigvalsh(out)),
                        np.sort(np.linalg.eigvalsh(inp)), atol=1e-10)
 
@@ -248,13 +290,9 @@ def test_swap_pure_ancilla_same_error_more_disturbance():
     pure_anc = bloch_to_density([1.0, 0.0, 0.0])  # diagonal entries 1/2
 
     def apply_sp(x):
-        from qtradeoff.qmath import FLIP, ID4, dag as _dag
-        w = p.a2 * ID4 + 1j * p.a1 * FLIP
-        x = np.asarray(x, dtype=complex)
-        return partial_trace(w @ tensor(x, pure_anc) @ _dag(w), "first")
+        return swap_marginals(p, x, pure_anc)[1]
 
-    from qtradeoff.schemes import _povm_via_duality
-    povm_pure = _povm_via_duality(apply_sp)
+    povm_pure = dual_povm(apply_sp)
     povm_mixed = swap_induced_povm(p)
     for theta in np.linspace(0.0, 360.0, 37):
         rho = linear_pol_state(theta)
@@ -266,9 +304,7 @@ def test_swap_pure_ancilla_same_error_more_disturbance():
         measurement_error(povm_mixed) - 1e-12
 
     def apply_s(rho):
-        from qtradeoff.qmath import FLIP, ID4, dag as _dag
-        w = p.a2 * ID4 + 1j * p.a1 * FLIP
-        return partial_trace(w @ tensor(rho, pure_anc) @ _dag(w), "second")
+        return swap_marginals(p, rho, pure_anc)[0]
 
     dist_pure = disturbance(apply_s, MeasureKind.WORST_TRACE)
     dist_mixed = swap_tradeoff_point(p).Delta
