@@ -85,6 +85,40 @@ GOLDENS = {
              thetas=DENSE),
         "1bc00411bc45a7ecfb13905fff02bd229827aafa0f652625f5cf9a3e8c62459c",
         0.029245490107944416, 0.5012918738366593, 0.09206237792968755, 1.0),
+    # Seeds of two and of five or more 32-bit words: the run entropy
+    # spans two words, or runs past the four-word pool of the seed
+    # sequence.  At phi = 0.001 the key of port 1 (1e9) fits in one word
+    # and that of port 2 (about 3.1e12) needs two, so one dataset mixes
+    # entropy lengths.
+    "wide-seed": (
+        dict(alpha=alpha_for(0.5), phi=QUARTER, shots_per_basis=10**4,
+             seed=2**32 + 9),
+        "8f6ac579fd86f5718d689bc7556b1e8b03077438316c4c4f2cee50438a1f800c",
+        0.25190383545672784, 0.06849294025502704, 359.9796237212867,
+        0.49813780132792224),
+    "huge-seed": (
+        dict(alpha=alpha_for(0.6), phi=QUARTER, shots_per_basis=10**5,
+             seed=2**130 + 2**64 + 17),
+        "004748bea5b5610dc2cd65a717e6a276eeba45976382017698bc697621c2c776",
+        0.19901553166397593, 0.10062197540344116, 0.06242489908340878,
+        0.5999178351505731),
+    "small-phase": (
+        dict(alpha=0.6, phi=0.001, shots_per_basis=10**4, seed=13),
+        "310b74c031fd361a6cb15f3e4da0f438eb36f75457d22eae64d7a7c18f26651b",
+        0.5036679239035513, 0.322666768395227, 71.03579207558789,
+        0.00576897339981333),
+    "small-phase-noise": (
+        dict(alpha=0.6, phi=0.001, shots_per_basis=10**4, seed=2**40 + 3,
+             intensity_noise=0.03),
+        "e6af88cb7b8ef724dfd9e43388d0b2ba9a2e89d356a84459fe6f62aad82d2e22",
+        0.4900607416376651, 0.32553892618875835, 298.82615070909515,
+        0.011854102481094784),
+    "dense-huge-seed": (
+        dict(alpha=alpha_for(0.8), phi=QUARTER, shots_per_basis=10**3,
+             seed=2**200 - 1, thetas=DENSE),
+        "722bdba626414d2116b24d7219291aac2f7adeccb527a3773b3da2c471cd8967",
+        0.12212229897298604, 0.21667028788643827, 359.76828999771004,
+        0.7994538051021418),
 }
 
 
