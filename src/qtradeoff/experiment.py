@@ -36,17 +36,23 @@ rejection sampling consumes.  Estimators are pure functions of datasets;
 the target curve of the error estimate is fitted in closed form.
 
 A dataset is a tuple of per-cell records, but each stage makes one array
-pass over all prepared states: one batched product for the branch states
-(only the draws go cell by cell), one parse of the records into count
-arrays for the tomography, and one record template for the writer.
+pass over all prepared states: one batched product for the branch states,
+one seeding pass for every cell's substream, one parse of the records by
+field into count arrays for the tomography, and one record template for
+the writer, filled by column.  Only the draws go cell by cell, from one
+generator whose state is set per cell; the streams are bit-identical to
+``PCG64(SeedSequence(seed, spawn_key=(i, key)))``, which the reference
+test in ``tests/test_experiment.py`` pins.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import islice, product
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 import numpy as np
 
@@ -113,6 +119,11 @@ class InterferometerSetting:
             raise ValueError(f"unsupported convention {self.convention!r}")
 
 
+def _is_integer(v):
+    # Python and numpy integers; a bool is no count and no seed.
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Simulation run description.
@@ -121,8 +132,10 @@ class ExperimentConfig:
     selects the exact (infinite-statistics) mode, in which the dataset
     stores expected frequencies instead of integer counts.
     ``intensity_noise`` is the relative std of a Gaussian factor applied
-    to the port intensities.  ``fit_amplitude`` compares the data with the
-    fitted target curve, not the unit-amplitude one, in the error estimate.
+    to the port intensities.  ``seed`` is a non-negative integer.  Both
+    integer fields reject bools and store numpy integers as ``int``.
+    ``fit_amplitude`` compares the data with the fitted target curve, not
+    the unit-amplitude one, in the error estimate.
     """
 
     setting: InterferometerSetting
@@ -143,9 +156,16 @@ class ExperimentConfig:
         if len(set(self.thetas)) < len(self.thetas):
             i = next(i for i, t in enumerate(self.thetas) if t in self.thetas[:i])
             raise ValueError(f"thetas[{i}]: duplicate angle")
-        if self.shots_per_basis is not None and self.shots_per_basis < 1:
+        shots = self.shots_per_basis
+        if shots is not None:
+            if not _is_integer(shots) or not 1 <= shots <= np.iinfo(np.int64).max:
+                raise ValueError(f"shots_per_basis = {shots!r} must be an "
+                                 f"integer in [1, 2**63 - 1] or None")
+            object.__setattr__(self, "shots_per_basis", int(shots))
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(
-                f"shots_per_basis = {self.shots_per_basis} must be >= 1")
+                f"seed = {self.seed!r} must be a non-negative integer")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.intensity_noise < 0.0:
             raise ValueError("intensity_noise must be >= 0")
 
@@ -207,10 +227,10 @@ def gamma_beta_from_setting(s: InterferometerSetting):
     return gamma, beta
 
 
-def _interaction_unitary():
-    proj_a = np.diag([1.0, 0.0]).astype(complex)
-    proj_b = np.diag([0.0, 1.0]).astype(complex)
-    return np.kron(ID2, proj_a) + np.kron(-1j * SIGMA_Z, proj_b)
+# U = 1 (x) |A><A| - i sigma_z (x) |B><B|, indexed (pol, path, pol, path).
+_INTERACTION = (np.kron(ID2, np.diag([1.0, 0.0]).astype(complex))
+                + np.kron(-1j * SIGMA_Z, np.diag([0.0, 1.0]).astype(complex))
+                ).reshape(2, 2, 2, 2)
 
 
 def instrument_from_setting(s: InterferometerSetting) -> Instrument:
@@ -223,12 +243,11 @@ def instrument_from_setting(s: InterferometerSetting) -> Instrument:
     operator (for gamma >= 0).
     """
     phi0 = np.array([np.cos(s.alpha), np.exp(1j * s.phi) * np.sin(s.alpha)])
-    u = _interaction_unitary().reshape(2, 2, 2, 2)
     gamma, beta = gamma_beta_from_setting(s)
     kraus = []
     for port in (1, 2):
         bra = _PORTS[port]
-        k = np.einsum("r,prqs,s->pq", bra.conj(), u, phi0)
+        k = np.einsum("r,prqs,s->pq", bra.conj(), _INTERACTION, phi0)
         kraus.append(k)
     label = {"family": "interferometer", "alpha": s.alpha, "phi": s.phi,
              "gamma": gamma, "beta": beta}
@@ -246,14 +265,100 @@ def analytic_tradeoff_of_setting(s: InterferometerSetting):
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _port_stream(seed, theta_index, phase):
+def _port_key(phase):
     # Key the substream by the port's reduced phase so that the phi <->
     # phi + pi port exchange maps streams onto each other; a phase just
     # below 2 pi k rounds up to a full turn, which keys like 0.
     reduced = float(phase) % (2.0 * np.pi)
-    key = int(round(reduced * 1e12)) % round(2.0 * np.pi * 1e12)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(theta_index, key))
-    return np.random.Generator(np.random.PCG64(ss))
+    return int(round(reduced * 1e12)) % round(2.0 * np.pi * 1e12)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+# and the multiplier of PCG64's 128-bit LCG.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init, mult):
+    """The (xor, multiplier) pairs of successive SeedSequence hashes."""
+    h = init
+    while True:
+        nxt = h * mult & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+# Both act on Python ints and on unsigned integer arrays, mod 2**32.
+def _hash(value, xor, mult):
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _words(n):
+    """The 32-bit words of a non-negative integer, low word first; [0]
+    for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _pcg64_states(seed, indices, key):
+    """PCG64 ``(state, inc)`` of ``SeedSequence(entropy=seed,
+    spawn_key=(i, key))`` for each ``i`` of ``indices`` (integers below
+    2**64), as numpy computes them.
+
+    The run entropy (the seed's words padded with zeros to the four-word
+    pool) is the same for every cell, so it is mixed into the pool once,
+    in Python ints.  The spawn-key words follow in arrays, one pass for
+    the indices of one word and one for those of two; then
+    ``generate_state(4, uint64)`` and, in Python ints, PCG64's
+    ``srandom`` step.
+    """
+    run = _words(seed)
+    run += [0] * (4 - len(run))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(w, *next(consts)) for w in run[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
+    for w in run[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(w, *next(consts)))
+    # Four hashes per spawn-key word, one per pool word; eight for the
+    # output words.
+    spawn_consts = np.array(list(islice(consts, 16)), dtype=np.uint64).reshape(4, 4, 2)
+    out_consts = np.array(list(islice(_hash_constants(_INIT_B, _MULT_B), 8)),
+                          dtype=np.uint64)
+
+    indices = np.asarray(indices, dtype=np.uint64)
+    wide = indices > _MASK32
+    seeded = np.empty((len(indices), 4), dtype=np.uint64)
+    for two_words in (False, True):
+        rows = wide == two_words
+        if rows.any():
+            idx = indices[rows, None]
+            words = [idx & _MASK32] + [idx >> 32] * two_words + _words(key)
+            p = np.array(pool, dtype=np.uint64)
+            for w, c in zip(words, spawn_consts):
+                p = _mix(p, _hash(w, *c.T))
+            out = _hash(np.tile(p, 2), *out_consts.T)
+            seeded[rows] = out[:, 0::2] | out[:, 1::2] << 32
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in seeded.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
 
 
 def _branch_blochs(ins, thetas):
@@ -286,23 +391,50 @@ def simulate_dataset(cfg: ExperimentConfig) -> SimulatedDataset:
     blochs, probs = _branch_blochs(ins, cfg.thetas)
     plus = np.clip(0.5 * (1.0 + blochs), 0.0, 1.0)
     n = cfg.shots_per_basis
-    records = []
-    for ti, theta in enumerate(cfg.thetas):
-        for port in (1, 2):
-            pp, p = plus[ti, port - 1], probs[ti, port - 1]
-            if n is None:
-                cells = [(q, 1.0 - q) for q in pp]
-                intensity = float(p)
-            else:
-                rng = _port_stream(cfg.seed, ti, cfg.setting.phi + (port - 1) * np.pi)
-                cells = [(k, n - k) for k in (int(rng.binomial(n, q)) for q in pp)]
-                intensity = int(rng.binomial(n, min(p, 1.0)))
-                if cfg.intensity_noise > 0.0:
-                    factor = 1.0 + rng.normal(0.0, cfg.intensity_noise)
-                    intensity = max(0, int(round(intensity * factor)))
-            records += [Record(theta, port, b, n_plus, n_minus, intensity)
-                        for b, (n_plus, n_minus) in zip(_BASES, cells)]
+    if n is None:
+        n_plus = plus.ravel().tolist()
+        n_minus = (1.0 - plus).ravel().tolist()
+        intensity = _repeat(probs.ravel().tolist(), 3)
+    else:
+        n_plus, intensity = _draw_counts(cfg, plus, probs)
+        n_minus = [n - k for k in n_plus]
+    m = len(cfg.thetas)
+    records = map(Record, _repeat(cfg.thetas, 6), (1, 1, 1, 2, 2, 2) * m,
+                  _BASES * (2 * m), n_plus, n_minus, intensity)
     return SimulatedDataset(cfg, tuple(records))
+
+
+def _repeat(values, k):
+    # Each value k times over, as the same object: the records of one
+    # state or cell share it.
+    return [v for v in values for _ in range(k)]
+
+
+def _draw_counts(cfg, plus, probs):
+    """The shot-mode basis counts (3 per cell) and intensities (repeated
+    3 times per cell), cells in (state, port) order.  One generator serves
+    every cell: its state is set to the cell's substream before the draws."""
+    n = cfg.shots_per_basis
+    m = len(cfg.thetas)
+    ports = [_pcg64_states(cfg.seed, range(m), _port_key(cfg.setting.phi + k * np.pi))
+             for k in (0, 1)]
+    states = [st for cell in zip(*ports) for st in cell]
+    odds = np.concatenate([plus, np.minimum(probs, 1.0)[..., None]], axis=2)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    n_plus, intensity = [], []
+    for (state, inc), cell in zip(states, odds.reshape(-1, 4).tolist()):
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        # x, y, z, then the intensity, then the optional noise factor.
+        *counts, inten = [rng.binomial(n, q) for q in cell]
+        if cfg.intensity_noise > 0.0:
+            factor = 1.0 + rng.normal(0.0, cfg.intensity_noise)
+            inten = max(0, int(round(inten * factor)))
+        n_plus += counts
+        intensity += (inten, inten, inten)
+    return n_plus, intensity
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +452,11 @@ def _branch_arrays(d: SimulatedDataset):
         cells[(r.theta_deg, r.port, r.basis)] = (r.n_plus, r.n_minus)
         intensities[(r.theta_deg, r.port)] = r.intensity
     thetas = d.config.thetas
-    found = [cells.get((t, port, b)) for t in thetas for port in (1, 2) for b in _BASES]
+    found = list(map(cells.get, product(thetas, (1, 2), _BASES)))
     missing = np.reshape([c is None for c in found], (-1, 2, 3))
     counts = np.reshape(np.array([c or (0, 0) for c in found], dtype=float), (-1, 2, 3, 2))
-    inten = np.reshape(np.array([intensities.get((t, port), 0.0) for t in thetas
-                                 for port in (1, 2)], dtype=float), (-1, 2))
+    inten = np.reshape(np.array([intensities.get(k, 0.0) for k in product(thetas, (1, 2))],
+                                dtype=float), (-1, 2))
     total_i = inten[:, 0] + inten[:, 1]
     tot = counts[..., 0] + counts[..., 1]
     no_light = total_i <= 0.0
@@ -527,15 +659,29 @@ def _json_value(v):
     return json.dumps(v, indent=2).replace("\n", "\n      ")
 
 
+def _json_column(values):
+    """The JSON texts of one record field, as a lazy iterator: one mapped
+    formatter for a column of plain ints, finite floats or strings, else
+    :func:`_json_value` per value."""
+    types = set(map(type, values))
+    if types == {int}:
+        return map(int.__repr__, values)
+    if types == {float} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    if types == {str}:
+        return map(encode_basestring_ascii, values)
+    return map(_json_value, values)
+
+
 def dataset_to_json(d: SimulatedDataset) -> str:
     """Serialize a dataset with stable key order; counts stay integers in
     shot mode.  The text is that of ``json.dumps(payload, indent=2)`` plus
-    a newline, with the records written from one template."""
+    a newline, with the records written from one template filled by
+    column."""
     head = json.dumps({"config": _config_to_dict(d.config)}, indent=2)[:-2]  # no "\n}"
-    rows = ",\n".join(_RECORD_JSON % (
-        _json_value(r.theta_deg), _json_value(r.port), _json_value(r.basis),
-        _json_value(r.n_plus), _json_value(r.n_minus), _json_value(r.intensity))
-        for r in d.records)
+    columns = [_json_column(list(map(attrgetter(f.name), d.records)))
+               for f in fields(Record)]
+    rows = ",\n".join(map(_RECORD_JSON.__mod__, zip(*columns)))
     records = "[\n" + rows + "\n  ]" if rows else "[]"
     return head + ',\n  "records": ' + records + "\n}\n"
 
@@ -632,4 +778,4 @@ def dataset_from_json(text: str) -> SimulatedDataset:
 
 def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Copy of a config with the seed replaced (reproducibility audits)."""
-    return replace(cfg, seed=int(seed))
+    return replace(cfg, seed=seed)

@@ -10,7 +10,8 @@ import qtradeoff.experiment as experiment
 from qtradeoff.experiment import (
     _branch_blochs,
     _config_to_dict,
-    _port_stream,
+    _pcg64_states,
+    _port_key,
     ExperimentConfig,
     InsufficientCounts,
     InterferometerSetting,
@@ -117,7 +118,7 @@ def test_instrument_matches_optimal_family_up_to_phase():
 
 def same_substream(phase_a, phase_b):
     def state(phase):
-        return _port_stream(7, 3, phase).bit_generator.state
+        return _pcg64_states(7, [3], _port_key(phase))
     return state(phase_a) == state(phase_b)
 
 
@@ -144,6 +145,75 @@ def test_port_swap_identity(alpha, phi):
     scaled = (phi % (2.0 * np.pi)) * 1e12
     if abs(scaled - np.floor(scaled) - 0.5) > 0.01:
         assert same_substream(phi, partner + np.pi)
+
+
+# ---------------------------------------------------------------------------
+# substream seeding
+# ---------------------------------------------------------------------------
+
+def reference_port_stream(seed, theta_index, phase):
+    """The generator of one (state, port) cell, built alone."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(theta_index, _port_key(phase)))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+MAX_KEY = round(2.0 * np.pi * 1e12) - 1
+# Values on both sides of the 32-bit word boundaries: a seed of 2**128 or
+# more has run entropy past the four-word pool.
+seeds = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96,
+                     2**128 - 1, 2**128, 2**160 + 5, 2**200]),
+    st.integers(0, 2**64), st.integers(2**128, 2**220))
+indices = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**33]),
+                    st.integers(0, 2**33))
+keys = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, MAX_KEY]),
+                 st.integers(0, 2**32 - 1), st.integers(0, MAX_KEY))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=seeds, indices=st.lists(indices, min_size=1, max_size=6), key=keys)
+@example(seed=2**200, indices=[0, 2**33, 1, 2**32 - 1, 2**32], key=MAX_KEY)
+def test_pcg64_states_match_seed_sequence(seed, indices, key):
+    # Indices of one and of two words share one call.
+    got = _pcg64_states(seed, indices, key)
+    assert len(got) == len(indices)
+    for i, (state, inc) in zip(indices, got):
+        ref = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i, key)))
+        assert ref.state["state"] == {"state": state, "inc": inc}
+
+
+def reference_simulate(cfg):
+    """Shot-mode records drawn cell by cell from generators built alone."""
+    ins = instrument_from_setting(cfg.setting)
+    blochs, probs = _branch_blochs(ins, cfg.thetas)
+    plus = np.clip(0.5 * (1.0 + blochs), 0.0, 1.0)
+    n = cfg.shots_per_basis
+    records = []
+    for ti, theta in enumerate(cfg.thetas):
+        for port in (1, 2):
+            rng = reference_port_stream(cfg.seed, ti, cfg.setting.phi + (port - 1) * np.pi)
+            counts = [int(rng.binomial(n, q)) for q in plus[ti, port - 1]]
+            intensity = int(rng.binomial(n, min(probs[ti, port - 1], 1.0)))
+            if cfg.intensity_noise > 0.0:
+                factor = 1.0 + rng.normal(0.0, cfg.intensity_noise)
+                intensity = max(0, int(round(intensity * factor)))
+            records += [Record(theta, port, b, k, n - k, intensity)
+                        for b, k in zip("xyz", counts)]
+    return tuple(records)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.0, 0.5 * np.pi),
+       phi=st.one_of(st.sampled_from([0.0, 0.001, -0.001, 0.5 * np.pi]),
+                     st.floats(-50.0, 50.0), near_full_turns),
+       seed=seeds, shots=st.sampled_from([1, 7, 1000, 10**6]),
+       noise=st.sampled_from([0.0, 0.05]),
+       thetas=st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=5, unique=True))
+def test_simulate_dataset_matches_per_cell_generators(alpha, phi, seed, shots, noise,
+                                                       thetas):
+    cfg = ExperimentConfig(setting=InterferometerSetting(alpha, phi), thetas=thetas,
+                           shots_per_basis=shots, intensity_noise=noise, seed=seed)
+    assert simulate_dataset(cfg).records == reference_simulate(cfg)
 
 
 def test_setting_validation():
@@ -647,6 +717,33 @@ def test_config_rejects_repeated_angles():
     cfg = ExperimentConfig(setting=setting_for_gamma(0.3), thetas=(0.0, 90.0))
     with pytest.raises(ValueError, match="duplicate angle"):
         dataclasses.replace(cfg, thetas=(90.0, 90.0))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("seed", "7"), ("seed", -1), ("seed", True), ("seed", None),
+    ("seed", np.float64(3.0)),
+    ("shots_per_basis", 2.5), ("shots_per_basis", True), ("shots_per_basis", 0),
+    ("shots_per_basis", -3), ("shots_per_basis", "10"), ("shots_per_basis", 2**63),
+    ("shots_per_basis", np.bool_(True)),
+])
+def test_config_rejects_bad_seed_and_shots(name, value):
+    # Unchecked, a seed of 1.5 or "7" simulates seed 1 or 7 but writes the
+    # value given, and a fractional shot count writes fractional counts.
+    with pytest.raises(ValueError, match=rf"^{name} = "):
+        ExperimentConfig(setting=setting_for_gamma(0.3), **{name: value})
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.3))
+    with pytest.raises(ValueError, match=rf"^{name} = "):
+        dataclasses.replace(cfg, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["seed", "shots_per_basis"])
+def test_config_stores_numpy_integers_as_int(name):
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.3), thetas=(0.0, 90.0),
+                           **{name: np.int64(3)})
+    assert type(getattr(cfg, name)) is int
+    d = simulate_dataset(cfg)
+    assert dataset_from_json(dataset_to_json(d)) == d
+    assert type(with_seed(cfg, np.uint32(5)).seed) is int
 
 
 def test_config_from_dict_field_errors():
