@@ -37,9 +37,9 @@ the target curve of the error estimate is fitted in closed form.
 
 A dataset is a tuple of per-cell records, but each stage makes one array
 pass over all prepared states: one batched product for the branch states,
-one seeding pass for every cell's substream, one parse of the records by
-field into count arrays for the tomography, and one record template for
-the writer, filled by column.  Only the draws go cell by cell, from one
+one seeding pass for every cell's substream, one parse of the records
+into count arrays for the tomography, and one record template for the
+writer, filled by column.  Only the draws go cell by cell, from one
 generator whose state is set per cell; the streams are bit-identical to
 ``PCG64(SeedSequence(seed, spawn_key=(i, key)))``, which the reference
 test in ``tests/test_experiment.py`` pins.
