@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
@@ -437,6 +438,74 @@ def test_branch_arrays_match_per_branch_reference(cfg):
     np.testing.assert_array_equal(probs, ref_probs)
 
 
+def dataset_of(cfg, records):
+    return SimulatedDataset(cfg, tuple(records))
+
+
+two_state_cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
+                                 shots_per_basis=100)
+
+
+def two_state_records():
+    # Distinct counts per cell and intensities per branch.
+    return [Record(t, port, b, 60 + i, 40 - i, 100 + 10 * port + int(t))
+            for t in (0.0, 90.0) for port in (1, 2)
+            for i, b in enumerate(("x", "y", "z"))]
+
+
+def assert_same_branches(d1, d2):
+    b1, b2 = reconstruct_branch_states(d1), reconstruct_branch_states(d2)
+    assert list(b1) == list(b2)
+    for key in b1:
+        np.testing.assert_array_equal(b1[key].rho, b2[key].rho)
+        assert b1[key].probability == b2[key].probability
+
+
+def test_reconstruction_last_duplicate_wins():
+    records = two_state_records()
+    # A later record of a cell replaces its counts, and of a branch its
+    # intensity, whatever its basis.
+    late = [Record(0.0, 1, "x", 90, 10, 500), Record(90.0, 2, "z", 5, 95, 7)]
+    expected = [dataclasses.replace(r, intensity=500) if (r.theta_deg, r.port) == (0.0, 1)
+                else dataclasses.replace(r, intensity=7) if (r.theta_deg, r.port) == (90.0, 2)
+                else r for r in records]
+    expected[0] = late[0]
+    expected[11] = late[1]
+    assert_same_branches(dataset_of(two_state_cfg, records + late),
+                         dataset_of(two_state_cfg, expected))
+    # An empty cell counts only if it is the last of its duplicates.
+    empty = Record(90.0, 1, "y", 0, 0, 110 + 90)
+    assert_same_branches(dataset_of(two_state_cfg, [empty] + records),
+                         dataset_of(two_state_cfg, records))
+    with pytest.raises(InsufficientCounts,
+                       match=r"^zero shots in basis 'y' at theta = 90\.0, port 1$"):
+        reconstruct_branch_states(dataset_of(two_state_cfg, records + [empty]))
+
+
+def test_reconstruction_ignores_angles_outside_the_config():
+    records = two_state_records()
+    stray = [Record(45.0, port, b, 0, 0, 0) for port in (1, 2) for b in ("x", "y", "z")]
+    stray += [Record(-90.0, 1, "x", 1, 99, 10**6)]
+    assert_same_branches(dataset_of(two_state_cfg, stray[:3] + records + stray[3:]),
+                         dataset_of(two_state_cfg, records))
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(setting=setting_for_gamma(0.6), shots_per_basis=10**4, seed=8),
+    ExperimentConfig(setting=InterferometerSetting(0.4, 0.9), shots_per_basis=None,
+                     thetas=tuple(float(t) for t in range(0, 360, 5))),
+], ids=["shots", "exact"])
+def test_estimates_do_not_depend_on_record_order(cfg):
+    d = simulate_dataset(cfg)
+    records = list(d.records)
+    random.Random(3).shuffle(records)
+    shuffled = dataset_of(cfg, records)
+    assert_same_branches(shuffled, d)
+    e1, e2 = estimate_tradeoff(d), estimate_tradeoff(shuffled)
+    assert (e1.delta_hat, e1.Delta_hat) == (e2.delta_hat, e2.Delta_hat)
+    assert e1.diagnostics == e2.diagnostics
+
+
 # ---------------------------------------------------------------------------
 # estimation
 # ---------------------------------------------------------------------------
@@ -656,6 +725,24 @@ shot_cfg = ExperimentConfig(setting=setting_for_gamma(0.4), shots_per_basis=200,
 def test_dataset_json_matches_json_module(dataset):
     d = dataset()
     assert dataset_to_json(d) == reference_json(d)
+
+
+def test_dataset_json_keeps_signed_zeros_and_repeats_apart():
+    # Each float column mixes 0.0 with -0.0, repeats values as one shared
+    # object and as equal distinct objects, and mixes ints with floats.
+    zero, neg, half = 0.0, -0.0, float("0.5")
+    records = [Record(zero, 1, "x", zero, 1, half),
+               Record(zero, 1, "y", neg, 1.0, half),
+               Record(neg, 1, "z", 0, neg, float("0.5")),
+               Record(neg, 2, "x", half, 0, 0),
+               Record(0, 2, "y", float("-0.0"), zero, neg),
+               Record(float("0.0"), 2, "z", 3, 2.5, 0.0),
+               Record(half, 1, "x", 7, 7.0, 1e300)]
+    d = hand_built(*records)
+    text = dataset_to_json(d)
+    assert text == reference_json(d)
+    assert text.count('"theta_deg": -0.0') == 2
+    assert text.count('"theta_deg": 0.0') == 3
 
 
 @pytest.mark.parametrize("name", ["n_plus", "n_minus", "intensity"])
