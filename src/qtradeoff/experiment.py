@@ -35,12 +35,14 @@ flip a binomial draw at probability 1/2 and change the number of draws
 rejection sampling consumes.  Estimators are pure functions of datasets;
 the target curve of the error estimate is fitted in closed form.
 
-A dataset is a tuple of per-cell records, but each stage makes one array
-pass over all prepared states: one batched product for the branch states,
-one seeding pass for every cell's substream, one parse of the records
-into count arrays for the tomography, and one record template for the
-writer, filled by column.  Only the draws go cell by cell, from one
-generator whose state is set per cell; the streams are bit-identical to
+A dataset stores its per-cell records as six parallel columns, one per
+:class:`Record` field; ``records`` builds the record objects only when
+read.  Each stage makes one array pass over all prepared states: one
+batched product for the branch states, one seeding pass for every cell's
+substream, one index parse of the columns into count arrays for the
+tomography, and one record template for the writer, filled by column.
+Only the draws go cell by cell, from one generator whose state is set per
+cell; the streams are bit-identical to
 ``PCG64(SeedSequence(seed, spawn_key=(i, key)))``, which the reference
 test in ``tests/test_experiment.py`` pins.
 """
@@ -50,7 +52,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice, product
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -131,8 +133,8 @@ class ExperimentConfig:
     ``shots_per_basis`` is the per-analyzer-setting sample count; ``None``
     selects the exact (infinite-statistics) mode, in which the dataset
     stores expected frequencies instead of integer counts.
-    ``intensity_noise`` is the relative std of a Gaussian factor applied
-    to the port intensities.  ``seed`` is a non-negative integer.  Both
+    ``intensity_noise`` is the relative std (finite, >= 0) of a Gaussian
+    factor applied to the port intensities.  ``seed`` is a non-negative integer.  Both
     integer fields reject bools and store numpy integers as ``int``.
     ``fit_amplitude`` compares the data with the fitted target curve, not
     the unit-amplitude one, in the error estimate.
@@ -166,8 +168,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"seed = {self.seed!r} must be a non-negative integer")
         object.__setattr__(self, "seed", int(self.seed))
-        if self.intensity_noise < 0.0:
-            raise ValueError("intensity_noise must be >= 0")
+        noise = self.intensity_noise
+        if not (math.isfinite(noise) and noise >= 0.0):
+            raise ValueError(f"intensity_noise = {noise!r} must be a finite "
+                             f"number >= 0")
 
 
 @dataclass(frozen=True)
@@ -182,10 +186,44 @@ class Record:
     intensity: float
 
 
+_FIELDS = tuple(f.name for f in fields(Record))
+
+
 @dataclass(frozen=True)
 class SimulatedDataset:
+    """The counts of a run as parallel columns, one per :class:`Record`
+    field: entry ``i`` of every column belongs to record ``i``.  The
+    columns are stored as tuples of equal length."""
+
     config: ExperimentConfig
-    records: tuple
+    theta_deg: tuple
+    port: tuple
+    basis: tuple
+    n_plus: tuple
+    n_minus: tuple
+    intensity: tuple
+
+    def __post_init__(self):
+        columns = [tuple(getattr(self, name)) for name in _FIELDS]
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("dataset columns differ in length")
+        for name, column in zip(_FIELDS, columns):
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_records(cls, config, records):
+        """A dataset holding the given :class:`Record` objects, in order."""
+        return _dataset_from_rows(config, map(attrgetter(*_FIELDS), records))
+
+    @property
+    def records(self):
+        """The records, built on each read."""
+        return tuple(map(Record, *attrgetter(*_FIELDS)(self)))
+
+
+def _dataset_from_rows(config, rows):
+    # Rows are tuples of the six field values of one record.
+    return SimulatedDataset(config, *(list(zip(*rows)) or [()] * len(_FIELDS)))
 
 
 @dataclass(frozen=True)
@@ -399,14 +437,13 @@ def simulate_dataset(cfg: ExperimentConfig) -> SimulatedDataset:
         n_plus, intensity = _draw_counts(cfg, plus, probs)
         n_minus = [n - k for k in n_plus]
     m = len(cfg.thetas)
-    records = map(Record, _repeat(cfg.thetas, 6), (1, 1, 1, 2, 2, 2) * m,
-                  _BASES * (2 * m), n_plus, n_minus, intensity)
-    return SimulatedDataset(cfg, tuple(records))
+    return SimulatedDataset(cfg, _repeat(cfg.thetas, 6), (1, 1, 1, 2, 2, 2) * m,
+                            _BASES * (2 * m), n_plus, n_minus, intensity)
 
 
 def _repeat(values, k):
     # Each value k times over, as the same object: the records of one
-    # state or cell share it.
+    # state or cell share it, and the writer formats it once.
     return [v for v in values for _ in range(k)]
 
 
@@ -441,22 +478,56 @@ def _draw_counts(cfg, plus, probs):
 # Reconstruction
 # ---------------------------------------------------------------------------
 
+_PORT_INDEX = {1: 0, 2: 1}
+_BASIS_INDEX = {b: i for i, b in enumerate(_BASES)}
+
+
+def _index_of(column, index):
+    # Position in ``index`` of each entry of a column; -1 where absent.
+    return np.fromiter(map(index.get, column, repeat(-1)), np.intp, len(column))
+
+
+def _last_rows(keys, size):
+    # Row of the last record of each of ``size`` keys, -1 where none;
+    # rows with a negative key belong to no key.
+    last = np.full(size, -1)
+    rows = np.flatnonzero(keys >= 0)
+    np.maximum.at(last, keys[rows], rows)
+    return last
+
+
+def _column_at(column, rows, size):
+    # Float values of a column at the given rows; a row of -1 reads 0.0.
+    out = np.zeros(size)
+    found = rows >= 0
+    out[found] = np.array([column[r] for r in rows[found].tolist()], dtype=float)
+    return out
+
+
 def _branch_arrays(d: SimulatedDataset):
     """Bloch vectors (N, 2, 3) and port probabilities (N, 2) of every
     branch, in the order of ``d.config.thetas``, from one parse of the
-    records into (N, 2, 3, 2) counts and (N, 2) intensities.  The first
-    state without intensity, or with a missing or empty basis, raises
-    :class:`InsufficientCounts`."""
-    cells, intensities = {}, {}
-    for r in d.records:
-        cells[(r.theta_deg, r.port, r.basis)] = (r.n_plus, r.n_minus)
-        intensities[(r.theta_deg, r.port)] = r.intensity
+    columns into (N, 2, 3, 2) counts and (N, 2) intensities.
+
+    Each record gets a branch index (state index x 2 + port) and a cell
+    index (branch x 3 + basis); a record whose angle, port or basis is
+    not the config's has none and is ignored.  Of the records of one
+    cell the last gives its counts, and of one branch the last gives its
+    intensity.  The first state without intensity, or with a missing or
+    empty basis, raises :class:`InsufficientCounts`."""
     thetas = d.config.thetas
-    found = list(map(cells.get, product(thetas, (1, 2), _BASES)))
-    missing = np.reshape([c is None for c in found], (-1, 2, 3))
-    counts = np.reshape(np.array([c or (0, 0) for c in found], dtype=float), (-1, 2, 3, 2))
-    inten = np.reshape(np.array([intensities.get(k, 0.0) for k in product(thetas, (1, 2))],
-                                dtype=float), (-1, 2))
+    n = len(thetas)
+    state = _index_of(d.theta_deg, {t: i for i, t in enumerate(thetas)})
+    port = _index_of(d.port, _PORT_INDEX)
+    basis = _index_of(d.basis, _BASIS_INDEX)
+    branch = np.where((state >= 0) & (port >= 0), 2 * state + port, -1)
+    cell = np.where((branch >= 0) & (basis >= 0), 3 * branch + basis, -1)
+    cell_rows = _last_rows(cell, 6 * n)
+    branch_rows = _last_rows(branch, 2 * n)
+    missing = (cell_rows < 0).reshape(-1, 2, 3)
+    counts = np.stack([_column_at(d.n_plus, cell_rows, 6 * n),
+                       _column_at(d.n_minus, cell_rows, 6 * n)], axis=-1).reshape(-1, 2, 3, 2)
+    inten = _column_at(d.intensity, branch_rows, 2 * n).reshape(-1, 2)
     total_i = inten[:, 0] + inten[:, 1]
     tot = counts[..., 0] + counts[..., 1]
     no_light = total_i <= 0.0
@@ -659,6 +730,18 @@ def _json_value(v):
     return json.dumps(v, indent=2).replace("\n", "\n      ")
 
 
+def _float_texts(values):
+    # Each distinct float object formatted once: a state's angle and a
+    # cell's intensity are one object repeated over its records.  Keying
+    # on the object, not the value, keeps 0.0 and -0.0 apart.
+    ids = list(map(id, values))
+    objects = dict(zip(ids, values))
+    if len(objects) == len(values):
+        return map(float.__repr__, values)
+    texts = dict(zip(objects, map(float.__repr__, objects.values())))
+    return map(texts.__getitem__, ids)
+
+
 def _json_column(values):
     """The JSON texts of one record field, as a lazy iterator: one mapped
     formatter for a column of plain ints, finite floats or strings, else
@@ -667,7 +750,7 @@ def _json_column(values):
     if types == {int}:
         return map(int.__repr__, values)
     if types == {float} and all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
+        return _float_texts(values)
     if types == {str}:
         return map(encode_basestring_ascii, values)
     return map(_json_value, values)
@@ -679,8 +762,7 @@ def dataset_to_json(d: SimulatedDataset) -> str:
     a newline, with the records written from one template filled by
     column."""
     head = json.dumps({"config": _config_to_dict(d.config)}, indent=2)[:-2]  # no "\n}"
-    columns = [_json_column(list(map(attrgetter(f.name), d.records)))
-               for f in fields(Record)]
+    columns = [_json_column(getattr(d, name)) for name in _FIELDS]
     rows = ",\n".join(map(_RECORD_JSON.__mod__, zip(*columns)))
     records = "[\n" + rows + "\n  ]" if rows else "[]"
     return head + ',\n  "records": ' + records + "\n}\n"
@@ -692,7 +774,7 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
 
-    def number(name, default=None, lo=None, hi=np.inf, required=False):
+    def number(name, default=None, lo=None, hi=math.inf, required=False):
         if name not in obj:
             if required:
                 raise ValueError(f"{path}.{name}: required field missing")
@@ -752,7 +834,7 @@ def dataset_from_json(text: str) -> SimulatedDataset:
     if not isinstance(rows, list):
         raise ValueError("records: expected a list")
     thetas = set(cfg.thetas)
-    records = []
+    checked = []
     for i, r in enumerate(rows):
         try:
             theta, port, basis = r["theta_deg"], r["port"], r["basis"]
@@ -764,16 +846,15 @@ def dataset_from_json(text: str) -> SimulatedDataset:
         if type(port) is not int:
             raise ValueError(f"records[{i}].port: expected an integer, "
                              f"got {port!r}")
-        record = Record(theta, port, basis, *counts)
-        for name, allowed in (("port", _PORTS), ("basis", _BASES),
-                              ("theta_deg", thetas)):
-            if getattr(record, name) not in allowed:
+        for name, value, allowed in (("port", port, _PORTS), ("basis", basis, _BASES),
+                                     ("theta_deg", theta, thetas)):
+            if value not in allowed:
                 raise ValueError(f"records[{i}].{name}: unexpected value "
-                                 f"{getattr(record, name)!r}")
-        for name in ("n_plus", "n_minus", "intensity"):
-            _json_number(getattr(record, name), f"records[{i}].{name}", lo=0.0)
-        records.append(record)
-    return SimulatedDataset(cfg, tuple(records))
+                                 f"{value!r}")
+        for name, value in zip(_FIELDS[3:], counts):
+            _json_number(value, f"records[{i}].{name}", lo=0.0)
+        checked.append((theta, port, basis, *counts))
+    return _dataset_from_rows(cfg, checked)
 
 
 def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:

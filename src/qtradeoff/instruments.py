@@ -25,6 +25,7 @@ safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,7 +188,7 @@ def validate_instrument(k1, k2, label=None) -> Instrument:
 # JSON descriptor interface (CLI and file input)
 # ---------------------------------------------------------------------------
 
-def _json_number(v, where, lo=None, hi=np.inf):
+def _json_number(v, where, lo=None, hi=math.inf):
     # Float value of a JSON number.  Non-numbers, booleans, NaN, Infinity,
     # integers beyond float range and values outside [lo, hi] are rejected.
     if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -195,8 +196,8 @@ def _json_number(v, where, lo=None, hi=np.inf):
     try:
         f = float(v)
     except OverflowError:
-        f = np.inf
-    if not np.isfinite(f):
+        f = math.inf
+    if not math.isfinite(f):
         raise ValueError(f"{where}: expected a finite number")
     if lo is not None and not (lo <= f <= hi):
         raise ValueError(f"{where}: value {f} outside [{lo}, {hi}]")

@@ -238,6 +238,35 @@ def test_dataset_shape_and_count_invariants():
         assert isinstance(r.n_plus, int)
 
 
+def test_dataset_stores_columns_and_builds_records_on_read():
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.5), shots_per_basis=1000, seed=1,
+                           thetas=(0.0, 45.0))
+    d = simulate_dataset(cfg)
+    assert d.theta_deg == (0.0,) * 6 + (45.0,) * 6
+    assert d.port == (1, 1, 1, 2, 2, 2) * 2
+    assert d.basis == ("x", "y", "z") * 4
+    for name in ("n_plus", "n_minus", "intensity"):
+        assert type(getattr(d, name)) is tuple and len(getattr(d, name)) == 12
+    assert d.records == tuple(map(Record, d.theta_deg, d.port, d.basis, d.n_plus,
+                                  d.n_minus, d.intensity))
+    assert SimulatedDataset.from_records(cfg, d.records) == d
+    assert SimulatedDataset.from_records(cfg, []).records == ()
+    with pytest.raises(ValueError, match="columns differ in length"):
+        dataclasses.replace(d, intensity=d.intensity[:-1])
+
+
+def test_pipeline_builds_no_records(monkeypatch):
+    def no_record(*args):
+        raise AssertionError("a Record was built")
+    monkeypatch.setattr(experiment, "Record", no_record)
+    for shots in (1000, None):
+        cfg = ExperimentConfig(setting=setting_for_gamma(0.5), shots_per_basis=shots,
+                               seed=1)
+        d = simulate_dataset(cfg)
+        estimate_tradeoff(d)
+        assert dataset_from_json(dataset_to_json(d)) == d
+
+
 def test_simulation_deterministic():
     cfg = ExperimentConfig(setting=setting_for_gamma(0.3), shots_per_basis=5000, seed=9,
                            intensity_noise=0.01)
@@ -307,7 +336,7 @@ def test_reconstruction_equal_counts_gives_maximally_mixed():
             records.append(Record(0.0, port, basis, 500, 500, 1000))
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,),
                            shots_per_basis=1000)
-    d = SimulatedDataset(cfg, tuple(records))
+    d = SimulatedDataset.from_records(cfg, records)
     branches = reconstruct_branch_states(d)
     assert np.allclose(branches[(0.0, 1)].rho, 0.5 * ID2, atol=1e-12)
     assert branches[(0.0, 1)].probability == pytest.approx(0.5)
@@ -321,7 +350,7 @@ def test_reconstruction_projects_nonphysical_inversion():
             records.append(Record(0.0, port, basis, 999, 1, 1000))
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,),
                            shots_per_basis=1000)
-    branches = reconstruct_branch_states(SimulatedDataset(cfg, tuple(records)))
+    branches = reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
     rho = branches[(0.0, 1)].rho
     vals = np.linalg.eigvalsh(rho)
     assert vals.min() >= -1e-12
@@ -338,7 +367,7 @@ def test_reconstruction_insufficient_counts():
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts,
                        match="zero shots in basis 'y' at theta = 0.0, port 1"):
-        reconstruct_branch_states(SimulatedDataset(cfg, tuple(records)))
+        reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
 
 
 def test_reconstruction_missing_basis():
@@ -347,7 +376,7 @@ def test_reconstruction_missing_basis():
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts,
                        match="missing basis 'y' at theta = 0.0, port 1"):
-        reconstruct_branch_states(SimulatedDataset(cfg, tuple(records)))
+        reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
 
 
 @pytest.mark.parametrize("drop, dark, message", [
@@ -365,7 +394,7 @@ def test_reconstruction_reports_first_gap(drop, dark, message):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts, match=message):
-        reconstruct_branch_states(SimulatedDataset(cfg, records))
+        reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
 
 
 def reference_branch_blochs(ins, thetas):
@@ -439,7 +468,7 @@ def test_branch_arrays_match_per_branch_reference(cfg):
 
 
 def dataset_of(cfg, records):
-    return SimulatedDataset(cfg, tuple(records))
+    return SimulatedDataset.from_records(cfg, records)
 
 
 two_state_cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
@@ -700,7 +729,7 @@ def reference_json(d):
 
 def hand_built(*records):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,))
-    return SimulatedDataset(cfg, tuple(records))
+    return SimulatedDataset.from_records(cfg, records)
 
 
 shot_cfg = ExperimentConfig(setting=setting_for_gamma(0.4), shots_per_basis=200, seed=2)
@@ -821,6 +850,18 @@ def test_config_rejects_bad_seed_and_shots(name, value):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.3))
     with pytest.raises(ValueError, match=rf"^{name} = "):
         dataclasses.replace(cfg, **{name: value})
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -float("inf"), -0.01,
+                                   np.float64("nan")])
+def test_config_rejects_unusable_intensity_noise(noise):
+    # Unchecked, NaN runs noise-free but writes a dataset that
+    # dataset_from_json rejects, and inf overflows in simulate_dataset.
+    with pytest.raises(ValueError, match=r"^intensity_noise = "):
+        ExperimentConfig(setting=setting_for_gamma(0.3), intensity_noise=noise)
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.3), intensity_noise=0.05)
+    with pytest.raises(ValueError, match=r"^intensity_noise = "):
+        dataclasses.replace(cfg, intensity_noise=noise)
 
 
 @pytest.mark.parametrize("name", ["seed", "shots_per_basis"])
