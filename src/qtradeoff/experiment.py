@@ -496,9 +496,9 @@ def _last_rows(keys, size):
     return last
 
 
-def _column_at(column, rows, size):
+def _column_at(column, rows):
     # Float values of a column at the given rows; a row of -1 reads 0.0.
-    out = np.zeros(size)
+    out = np.zeros(len(rows))
     found = rows >= 0
     out[found] = np.array([column[r] for r in rows[found].tolist()], dtype=float)
     return out
@@ -525,9 +525,9 @@ def _branch_arrays(d: SimulatedDataset):
     cell_rows = _last_rows(cell, 6 * n)
     branch_rows = _last_rows(branch, 2 * n)
     missing = (cell_rows < 0).reshape(-1, 2, 3)
-    counts = np.stack([_column_at(d.n_plus, cell_rows, 6 * n),
-                       _column_at(d.n_minus, cell_rows, 6 * n)], axis=-1).reshape(-1, 2, 3, 2)
-    inten = _column_at(d.intensity, branch_rows, 2 * n).reshape(-1, 2)
+    counts = np.stack([_column_at(d.n_plus, cell_rows),
+                       _column_at(d.n_minus, cell_rows)], axis=-1).reshape(-1, 2, 3, 2)
+    inten = _column_at(d.intensity, branch_rows).reshape(-1, 2)
     total_i = inten[:, 0] + inten[:, 1]
     tot = counts[..., 0] + counts[..., 1]
     no_light = total_i <= 0.0
