@@ -379,6 +379,22 @@ def test_reconstruction_missing_basis():
         reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
 
 
+@pytest.mark.parametrize("records, message", [
+    ([Record(45.0, 1, "y", 5, 5, 10), Record(0.0, 1, "x", 50, 50, 100),
+      Record(0.0, 3, "z", 5, 5, 10)],
+     r"^missing basis 'y' at theta = 0\.0, port 1$"),
+    ([Record(90.0, 2, "z", 50, 50, 100), Record(-90.0, 1, "x", 5, 5, 10)],
+     r"^no intensity recorded at theta = 0\.0$"),
+], ids=["counts", "intensity"])
+def test_reconstruction_single_usable_record(records, message):
+    # Of records at angles, ports or bases outside the config, only one
+    # record is read: every column gives one value.
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
+                           shots_per_basis=100)
+    with pytest.raises(InsufficientCounts, match=message):
+        reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
+
+
 @pytest.mark.parametrize("drop, dark, message", [
     # The first state in config order with a gap is reported, whatever
     # the kind of gap.
@@ -733,6 +749,7 @@ def hand_built(*records):
 
 
 shot_cfg = ExperimentConfig(setting=setting_for_gamma(0.4), shots_per_basis=200, seed=2)
+dense_thetas = tuple(float(t) for t in range(360))
 
 
 @pytest.mark.parametrize("dataset", [
@@ -748,9 +765,19 @@ shot_cfg = ExperimentConfig(setting=setting_for_gamma(0.4), shots_per_basis=200,
     lambda: hand_built(Record(-0.0, 1, "x", 1e-300, 2**53 + 1, np.float64(0.1)),
                        Record(1e22, 2, "y", float("nan"), float("inf"), -float("inf")),
                        Record(0.5, True, "\u00e9\n", None, [1, 2.5], {"a": [3]})),
+    # Columns of finite ints and floats next to columns that are not: a
+    # bool port, an np.float64 intensity and a NaN count.
+    lambda: hand_built(Record(0.0, 1, "x", 5, 3, 0.5),
+                       Record(-0.0, True, "y", 2.5, float("nan"), np.float64(0.25)),
+                       Record(1e22, 2, "z", 7, 1, 1)),
     lambda: hand_built(),
+    lambda: simulate_dataset(ExperimentConfig(
+        setting=setting_for_gamma(0.8), thetas=dense_thetas, shots_per_basis=10**6,
+        seed=11)),
+    lambda: simulate_dataset(ExperimentConfig(
+        setting=setting_for_gamma(0.8), thetas=dense_thetas, shots_per_basis=None)),
 ], ids=["shots", "exact", "noisy", "reloaded-shots", "reloaded-exact",
-        "hand-built", "empty"])
+        "hand-built", "mixed-columns", "empty", "dense-shots", "dense-exact"])
 def test_dataset_json_matches_json_module(dataset):
     d = dataset()
     assert dataset_to_json(d) == reference_json(d)
