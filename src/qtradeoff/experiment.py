@@ -117,6 +117,8 @@ class InterferometerSetting:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 0.5 * np.pi):
             raise ValueError(f"alpha = {self.alpha} outside [0, pi/2]")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi = {self.phi!r} must be a finite number")
         if self.convention != BS_CONVENTION:
             raise ValueError(f"unsupported convention {self.convention!r}")
 
@@ -154,6 +156,9 @@ class ExperimentConfig:
         object.__setattr__(self, "thetas", tuple(float(t) for t in thetas))
         if len(self.thetas) == 0:
             raise ValueError("thetas must be non-empty")
+        if not all(map(math.isfinite, self.thetas)):
+            i, t = next((i, t) for i, t in enumerate(self.thetas) if not math.isfinite(t))
+            raise ValueError(f"thetas[{i}] = {t!r} must be a finite number")
         # Cells are keyed by angle: a repeat would silently share counts.
         if len(set(self.thetas)) < len(self.thetas):
             i = next(i for i, t in enumerate(self.thetas) if t in self.thetas[:i])

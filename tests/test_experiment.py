@@ -224,6 +224,17 @@ def test_setting_validation():
         InterferometerSetting(0.1, 0.0, convention="other")
 
 
+@pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf"),
+                                 np.float64("nan")])
+def test_setting_rejects_non_finite_phi(phi):
+    # Unchecked, a NaN phase fails only in simulate_dataset, with a message
+    # about the Kraus operators that names no field.
+    with pytest.raises(ValueError, match=r"^phi = "):
+        InterferometerSetting(0.3, phi)
+    with pytest.raises(ValueError, match=r"^phi = "):
+        dataclasses.replace(InterferometerSetting(0.3, 0.5), phi=phi)
+
+
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
@@ -860,6 +871,18 @@ def test_config_rejects_repeated_angles():
     cfg = ExperimentConfig(setting=setting_for_gamma(0.3), thetas=(0.0, 90.0))
     with pytest.raises(ValueError, match="duplicate angle"):
         dataclasses.replace(cfg, thetas=(90.0, 90.0))
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"),
+                                   np.float64("inf")])
+def test_config_rejects_non_finite_angles(theta):
+    # Unchecked, exact mode writes NaN or Infinity, which dataset_from_json
+    # rejects, and shot mode fails inside numpy naming no field.
+    with pytest.raises(ValueError, match=r"^thetas\[1\] = .* must be a finite number$"):
+        ExperimentConfig(setting=setting_for_gamma(0.3), thetas=(0.0, theta, 90.0))
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.3), thetas=(0.0, 90.0))
+    with pytest.raises(ValueError, match=r"^thetas\[2\] = "):
+        dataclasses.replace(cfg, thetas=(0.0, 90.0, theta, float("nan")))
 
 
 @pytest.mark.parametrize("name, value", [
