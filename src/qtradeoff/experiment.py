@@ -40,9 +40,10 @@ A dataset stores its per-cell records as six parallel columns, one per
 read.  Each stage makes one array pass over all prepared states: one
 batched product for the branch states, one seeding pass for every cell's
 substream, one index parse of the columns into count arrays for the
-tomography, and one record template for the writer, filled by column.
-Only the draws go cell by cell, from one generator whose state is set per
-cell; the streams are bit-identical to
+tomography, and one template of all the records for the writer, filled
+by one ``%`` over the values of every column in record order.  Only the
+draws go cell by cell, from one generator whose state is set per cell;
+the streams are bit-identical to
 ``PCG64(SeedSequence(seed, spawn_key=(i, key)))``, which the reference
 test in ``tests/test_experiment.py`` pins.
 """
@@ -52,9 +53,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -464,16 +465,22 @@ def _draw_counts(cfg, plus, probs):
     odds = np.concatenate([plus, np.minimum(probs, 1.0)[..., None]], axis=2)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+    binomial = rng.binomial
+    noise = cfg.intensity_noise
+    # The setter copies the words out, so one dict serves every cell.
+    cell_state = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": cell_state,
+                  "has_uint32": 0, "uinteger": 0}
     n_plus, intensity = [], []
-    for (state, inc), cell in zip(states, odds.reshape(-1, 4).tolist()):
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+    for (state, inc), (qx, qy, qz, qi) in zip(states, odds.reshape(-1, 4).tolist()):
+        cell_state["state"] = state
+        cell_state["inc"] = inc
+        bitgen.state = full_state
         # x, y, z, then the intensity, then the optional noise factor.
-        *counts, inten = [rng.binomial(n, q) for q in cell]
-        if cfg.intensity_noise > 0.0:
-            factor = 1.0 + rng.normal(0.0, cfg.intensity_noise)
-            inten = max(0, int(round(inten * factor)))
+        counts = binomial(n, qx), binomial(n, qy), binomial(n, qz)
+        inten = binomial(n, qi)
+        if noise > 0.0:
+            inten = max(0, int(round(inten * (1.0 + rng.normal(0.0, noise)))))
         n_plus += counts
         intensity += (inten, inten, inten)
     return n_plus, intensity
@@ -505,7 +512,11 @@ def _column_at(column, rows):
     # Float values of a column at the given rows; a row of -1 reads 0.0.
     out = np.zeros(len(rows))
     found = rows >= 0
-    out[found] = np.array([column[r] for r in rows[found].tolist()], dtype=float)
+    picked = rows[found].tolist()
+    if picked:
+        # itemgetter of a single row returns the bare value.
+        values = itemgetter(*picked)(column)
+        out[found] = np.array(values if len(picked) > 1 else [values], dtype=float)
     return out
 
 
@@ -735,40 +746,33 @@ def _json_value(v):
     return json.dumps(v, indent=2).replace("\n", "\n      ")
 
 
-def _float_texts(values):
-    # Each distinct float object formatted once: a state's angle and a
-    # cell's intensity are one object repeated over its records.  Keying
-    # on the object, not the value, keeps 0.0 and -0.0 apart.
-    ids = list(map(id, values))
-    objects = dict(zip(ids, values))
-    if len(objects) == len(values):
-        return map(float.__repr__, values)
-    texts = dict(zip(objects, map(float.__repr__, objects.values())))
-    return map(texts.__getitem__, ids)
-
-
 def _json_column(values):
-    """The JSON texts of one record field, as a lazy iterator: one mapped
-    formatter for a column of plain ints, finite floats or strings, else
-    :func:`_json_value` per value."""
+    """The placeholder and the values that fill it for one record field:
+    ``%r`` and the values themselves for a column of plain ints and finite
+    floats, else ``%s`` and their JSON texts, from one mapped formatter
+    for a column of strings or :func:`_json_value` per value."""
     types = set(map(type, values))
-    if types == {int}:
-        return map(int.__repr__, values)
-    if types == {float} and all(map(math.isfinite, values)):
-        return _float_texts(values)
+    try:
+        raw = types <= {int, float} and (float not in types
+                                         or all(map(math.isfinite, values)))
+    except OverflowError:  # an int beyond float range next to floats
+        raw = False
+    if raw:
+        return "%r", values
     if types == {str}:
-        return map(encode_basestring_ascii, values)
-    return map(_json_value, values)
+        return "%s", map(encode_basestring_ascii, values)
+    return "%s", map(_json_value, values)
 
 
 def dataset_to_json(d: SimulatedDataset) -> str:
     """Serialize a dataset with stable key order; counts stay integers in
     shot mode.  The text is that of ``json.dumps(payload, indent=2)`` plus
-    a newline, with the records written from one template filled by
-    column."""
+    a newline.  The records are one template of all of them, filled by a
+    single ``%`` over the values of every column in record order."""
     head = json.dumps({"config": _config_to_dict(d.config)}, indent=2)[:-2]  # no "\n}"
-    columns = [_json_column(getattr(d, name)) for name in _FIELDS]
-    rows = ",\n".join(map(_RECORD_JSON.__mod__, zip(*columns)))
+    specs, columns = zip(*(_json_column(getattr(d, name)) for name in _FIELDS))
+    template = ",\n".join([_RECORD_JSON % specs] * len(d.port))
+    rows = template % tuple(chain.from_iterable(zip(*columns)))
     records = "[\n" + rows + "\n  ]" if rows else "[]"
     return head + ',\n  "records": ' + records + "\n}\n"
 

@@ -781,6 +781,9 @@ dense_thetas = tuple(float(t) for t in range(360))
     lambda: hand_built(Record(0.0, 1, "x", 5, 3, 0.5),
                        Record(-0.0, True, "y", 2.5, float("nan"), np.float64(0.25)),
                        Record(1e22, 2, "z", 7, 1, 1)),
+    # An int beyond float range next to floats.
+    lambda: hand_built(Record(0.0, 1, "x", 10**400, 0.5, 1),
+                       Record(0.5, 2, "y", 0.25, 2, 3)),
     lambda: hand_built(),
     lambda: simulate_dataset(ExperimentConfig(
         setting=setting_for_gamma(0.8), thetas=dense_thetas, shots_per_basis=10**6,
@@ -788,7 +791,7 @@ dense_thetas = tuple(float(t) for t in range(360))
     lambda: simulate_dataset(ExperimentConfig(
         setting=setting_for_gamma(0.8), thetas=dense_thetas, shots_per_basis=None)),
 ], ids=["shots", "exact", "noisy", "reloaded-shots", "reloaded-exact",
-        "hand-built", "mixed-columns", "empty", "dense-shots", "dense-exact"])
+        "hand-built", "mixed-columns", "huge-int", "empty", "dense-shots", "dense-exact"])
 def test_dataset_json_matches_json_module(dataset):
     d = dataset()
     assert dataset_to_json(d) == reference_json(d)
