@@ -40,7 +40,7 @@ A dataset stores its per-cell records as six parallel columns, one per
 read.  Each stage makes one array pass over all prepared states: one
 batched product for the branch states, one seeding pass for every cell's
 substream, one index parse of the columns into count arrays for the
-tomography, and one template of all the records for the writer, filled
+tomography, and one template of the whole text for the writer, filled
 by one ``%`` over the values of every column in record order.  Only the
 draws go cell by cell, from one generator whose state is set per cell;
 the streams are bit-identical to
@@ -727,7 +727,8 @@ def _config_to_dict(cfg: ExperimentConfig):
     }
 
 
-# One record as json.dumps(..., indent=2) lays it out inside the payload.
+# One record as json.dumps(..., indent=2) lays it out inside the payload;
+# each field's %s takes the placeholder of its column (_json_column).
 _RECORD_JSON = (
     '    {\n      "theta_deg": %s,\n      "port": %s,\n      "basis": %s,\n'
     '      "n_plus": %s,\n      "n_minus": %s,\n      "intensity": %s\n    }')
@@ -767,14 +768,16 @@ def _json_column(values):
 def dataset_to_json(d: SimulatedDataset) -> str:
     """Serialize a dataset with stable key order; counts stay integers in
     shot mode.  The text is that of ``json.dumps(payload, indent=2)`` plus
-    a newline.  The records are one template of all of them, filled by a
+    a newline, written as one template of the whole text, filled by a
     single ``%`` over the values of every column in record order."""
     head = json.dumps({"config": _config_to_dict(d.config)}, indent=2)[:-2]  # no "\n}"
     specs, columns = zip(*(_json_column(getattr(d, name)) for name in _FIELDS))
-    template = ",\n".join([_RECORD_JSON % specs] * len(d.port))
-    rows = template % tuple(chain.from_iterable(zip(*columns)))
-    records = "[\n" + rows + "\n  ]" if rows else "[]"
-    return head + ',\n  "records": ' + records + "\n}\n"
+    n = len(d.port)
+    records = ("[\n", ",\n".join([_RECORD_JSON % specs] * n), "\n  ]") if n else ("[]",)
+    # Built in one join, so that only the template and the text are alive
+    # while it is filled.
+    template = "".join((head.replace("%", "%%"), ',\n  "records": ', *records, "\n}\n"))
+    return template % tuple(chain.from_iterable(zip(*columns)))
 
 
 def config_from_dict(obj, path="config") -> ExperimentConfig:

@@ -797,6 +797,15 @@ def test_dataset_json_matches_json_module(dataset):
     assert dataset_to_json(d) == reference_json(d)
 
 
+def test_dataset_json_keeps_a_percent_sign_in_the_config(monkeypatch):
+    # The config is written into the template that the records fill.
+    monkeypatch.setattr(experiment, "BS_CONVENTION", "50%s/%r%%")
+    setting = InterferometerSetting(0.4, 0.9, convention="50%s/%r%%")
+    d = simulate_dataset(ExperimentConfig(setting=setting, thetas=(0.0, 90.0),
+                                          shots_per_basis=100, seed=1))
+    assert dataset_to_json(d) == reference_json(d)
+
+
 def test_dataset_json_keeps_signed_zeros_and_repeats_apart():
     # Each float column mixes 0.0 with -0.0, repeats values as one shared
     # object and as equal distinct objects, and mixes ints with floats.
