@@ -514,9 +514,9 @@ def _column_at(column, rows):
     found = rows >= 0
     picked = rows[found].tolist()
     if picked:
-        # itemgetter of a single row returns the bare value.
-        values = itemgetter(*picked)(column)
-        out[found] = np.array(values if len(picked) > 1 else [values], dtype=float)
+        # Of a single row, itemgetter returns the bare value, which fills
+        # the one found slot all the same.
+        out[found] = np.array(itemgetter(*picked)(column), dtype=float)
     return out
 
 

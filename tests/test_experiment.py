@@ -406,6 +406,15 @@ def test_reconstruction_single_usable_record(records, message):
         reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
 
 
+@pytest.mark.parametrize("records", [[], [Record(45.0, 1, "x", 5, 5, 10)]],
+                         ids=["empty", "strays"])
+def test_reconstruction_without_usable_records(records):
+    cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
+                           shots_per_basis=100)
+    with pytest.raises(InsufficientCounts, match=r"^no intensity recorded at theta = 0\.0$"):
+        reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
+
+
 @pytest.mark.parametrize("drop, dark, message", [
     # The first state in config order with a gap is reported, whatever
     # the kind of gap.
