@@ -269,6 +269,16 @@ def test_experiment_config_errors(tmp_path, capsys):
     ({"seed": -1}, "config.seed"),
     ({"shots_per_basis": 10**30}, "config.shots_per_basis"),
     ({"thetas": [0, 0.0, 90.0]}, "config.thetas[1]: duplicate angle"),
+    ({"shots_per_basis": 0}, "config.shots_per_basis"),
+    ({"shots_per_basis": 1.5}, "config.shots_per_basis"),
+    ({"shots_per_basis": "10"}, "config.shots_per_basis"),
+    ({"shots_per_basis": True}, "config.shots_per_basis"),
+    ({"shots_per_basis": 2**63}, "config.shots_per_basis"),
+    ({"seed": 1.0}, "config.seed"),
+    ({"seed": True}, "config.seed"),
+    ({"seed": "3"}, "config.seed"),
+    ({"alpha": 2.0}, "config.alpha"),
+    ({"intensity_noise": -0.1}, "config.intensity_noise"),
 ])
 def test_experiment_rejects_unusable_numbers(tmp_path, capsys, caplog,
                                              overrides, field):
