@@ -57,10 +57,8 @@ from .states import (
     sm7_state_list,
 )
 from .supopt import (
-    DegenerateFit,
     ExtremumEstimate,
     SupremumStrategy,
-    parabolic_refine,
 )
 from .experiment import (
     ExperimentConfig,

@@ -14,19 +14,20 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import schemes, verification
 from .experiment import (
+    InsufficientCounts,
     analytic_tradeoff_of_setting,
     config_from_dict,
     dataset_to_json,
     estimate_tradeoff,
     gamma_beta_from_setting,
     simulate_dataset,
-    with_seed,
 )
 from .instruments import (
     DiagonalFamilyParams,
@@ -203,7 +204,7 @@ def cmd_experiment(args) -> int:
             log.error("experiment: QTRADEOFF_SEED=%r is not a non-negative "
                       "integer", env_seed)
             return EXIT_INPUT
-        cfg = with_seed(cfg, seed)
+        cfg = replace(cfg, seed=seed)
         log.info("experiment: seed overridden by QTRADEOFF_SEED=%s", env_seed)
 
     log.info("experiment alpha=%g phi=%g shots=%s seed=%d",
@@ -212,7 +213,11 @@ def cmd_experiment(args) -> int:
              cfg.seed)
 
     dataset = simulate_dataset(cfg)
-    estimate = estimate_tradeoff(dataset)
+    try:
+        estimate = estimate_tradeoff(dataset)
+    except InsufficientCounts as exc:
+        log.error("experiment: %s", exc)
+        return EXIT_INPUT
     gamma, beta = gamma_beta_from_setting(cfg.setting)
     d_ref, dd_ref = analytic_tradeoff_of_setting(cfg.setting)
 

@@ -32,8 +32,9 @@ swap maps the Kraus operators and (away from the rounding half steps) the
 substream keys onto each other.  It is not exact at the count level: the
 Kraus pairs at phi and fl(phi + pi) differ in the last bits, which can
 flip a binomial draw at probability 1/2 and change the number of draws
-rejection sampling consumes.  Estimators are pure functions of datasets;
-the target curve of the error estimate is fitted in closed form.
+rejection sampling consumes.  The one estimator, :func:`estimate_tradeoff`,
+is a pure function of a dataset; it fits the target curve of the error
+estimate in closed form.
 
 A dataset stores its per-cell records as six parallel columns, one per
 :class:`Record` field; ``records`` builds the record objects only when
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -67,9 +68,7 @@ from .measures import (
     measurement_error,
 )
 from .qmath import ID2, SIGMA_Z
-from .states import (bloch_to_density, density_to_bloch, linear_pol_state,
-                     sm7_state_list)
-from .supopt import DegenerateFit, parabolic_refine
+from .states import density_to_bloch, linear_pol_state, sm7_state_list
 
 __all__ = [
     "InsufficientCounts",
@@ -78,15 +77,11 @@ __all__ = [
     "ExperimentConfig",
     "Record",
     "SimulatedDataset",
-    "BranchEstimate",
     "EstimatedTradeoff",
     "gamma_beta_from_setting",
     "instrument_from_setting",
     "analytic_tradeoff_of_setting",
     "simulate_dataset",
-    "reconstruct_branch_states",
-    "estimate_delta",
-    "estimate_Delta",
     "estimate_tradeoff",
     "dataset_to_json",
     "dataset_from_json",
@@ -113,15 +108,12 @@ class InterferometerSetting:
 
     alpha: float
     phi: float
-    convention: str = BS_CONVENTION
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 0.5 * np.pi):
             raise ValueError(f"alpha = {self.alpha} outside [0, pi/2]")
         if not math.isfinite(self.phi):
             raise ValueError(f"phi = {self.phi!r} must be a finite number")
-        if self.convention != BS_CONVENTION:
-            raise ValueError(f"unsupported convention {self.convention!r}")
 
 
 def _is_integer(v):
@@ -230,14 +222,6 @@ class SimulatedDataset:
 def _dataset_from_rows(config, rows):
     # Rows are tuples of the six field values of one record.
     return SimulatedDataset(config, *(list(zip(*rows)) or [()] * len(_FIELDS)))
-
-
-@dataclass(frozen=True)
-class BranchEstimate:
-    """Reconstructed conditional state and probability of one port."""
-
-    rho: np.ndarray
-    probability: float
 
 
 @dataclass(frozen=True)
@@ -449,7 +433,7 @@ def simulate_dataset(cfg: ExperimentConfig) -> SimulatedDataset:
 
 def _repeat(values, k):
     # Each value k times over, as the same object: the records of one
-    # state or cell share it, and the writer formats it once.
+    # state or cell share it.
     return [v for v in values for _ in range(k)]
 
 
@@ -566,23 +550,6 @@ def _branch_arrays(d: SimulatedDataset):
     return means, inten / total_i[:, None]
 
 
-def reconstruct_branch_states(d: SimulatedDataset):
-    """Linear-inversion tomography of every (state, port) branch.
-
-    A dict mapping (theta_deg, port) to a :class:`BranchEstimate`, built
-    from the arrays of :func:`_branch_arrays`.  Pauli expectations come
-    from the per-basis count asymmetries, and an inverted vector outside
-    the Bloch ball is scaled back to it (eigenvalue truncation).  Port
-    probabilities are the normalized intensities.  Raises
-    :class:`InsufficientCounts` for a state without intensity or with a
-    missing or empty basis.
-    """
-    blochs, probs = _branch_arrays(d)
-    return {(t, port): BranchEstimate(bloch_to_density(blochs[i, port - 1]),
-                                      float(probs[i, port - 1]))
-            for i, t in enumerate(d.config.thetas) for port in (1, 2)}
-
-
 # ---------------------------------------------------------------------------
 # Estimation
 # ---------------------------------------------------------------------------
@@ -618,41 +585,27 @@ def _fit_target(thetas_deg, p1_hat):
 
 
 def _parabola_near_max(thetas, values, window_deg=25.0):
+    """Least-squares parabola through the samples within ``window_deg`` of
+    the largest: its vertex and the vertex value's gap to that sample;
+    None with fewer than 3 samples or collinear ones (|a| < 1e-12)."""
     thetas = np.asarray(thetas)
     values = np.asarray(values)
     i_max = int(np.argmax(values))
     mask = np.abs(thetas - thetas[i_max]) <= window_deg
     if np.count_nonzero(mask) < 3:
         return None
-    try:
-        est = parabolic_refine(np.column_stack([thetas[mask], values[mask]]))
-    except DegenerateFit:
+    a, b, c = np.polyfit(thetas[mask], values[mask], 2)
+    if abs(a) < 1e-12:
         return None
+    vertex_value = float(c - b * b / (4.0 * a))
     sample_max = float(values[i_max])
-    gap = est.value - sample_max
+    gap = vertex_value - sample_max
     return {
-        "vertex_theta_deg": float(est.params[0]),
-        "vertex_value": est.value,
-        "gap": float(gap),
-        "rel_gap": float(gap / sample_max) if sample_max > 0.0 else 0.0,
+        "vertex_theta_deg": float(-b / (2.0 * a)),
+        "vertex_value": vertex_value,
+        "gap": gap,
+        "rel_gap": gap / sample_max if sample_max > 0.0 else 0.0,
     }
-
-
-def estimate_delta(d: SimulatedDataset):
-    """Measurement-error estimate from a dataset.
-
-    The best fitting target measurement is the ideal projective curve
-    p1(theta) = cos^2((theta - theta0)/2) at the orientation theta0
-    identified by the closed-form fit of :func:`_fit_target`; the
-    estimate is the largest outcome-distribution distance over the
-    prepared states.  With ``fit_amplitude`` set, the comparison curve
-    keeps the fitted amplitude instead of the ideal unit amplitude (a
-    diagnostic mode).  A parabolic fit around the extremal state bounds
-    the finite-sampling systematic.
-
-    Returns (delta_hat, diagnostics dict).
-    """
-    return _delta_from_branches(d, _branch_arrays(d)[1])
 
 
 def _delta_from_branches(d, probs):
@@ -671,19 +624,6 @@ def _delta_from_branches(d, probs):
     return float(devs[i_max]), diag
 
 
-def estimate_Delta(d: SimulatedDataset):
-    """Disturbance estimate from a dataset.
-
-    The channel output at each prepared state is the intensity-weighted
-    sum of the reconstructed branch states; the estimate is the largest
-    trace distance to the corresponding input state.  A parabolic fit
-    around the maximum reports the vertex-vs-sample gap.
-
-    Returns (Delta_hat, diagnostics dict).
-    """
-    return _Delta_from_branches(d, *_branch_arrays(d))
-
-
 def _Delta_from_branches(d, blochs, probs):
     thetas = np.asarray(d.config.thetas)
     inputs = density_to_bloch(linear_pol_state(thetas))
@@ -700,8 +640,21 @@ def _Delta_from_branches(d, blochs, probs):
 
 
 def estimate_tradeoff(d: SimulatedDataset) -> EstimatedTradeoff:
-    """Full pipeline: both estimates plus fit diagnostics, from one
-    reconstruction of the branch states."""
+    """Measurement-error and disturbance estimates of a dataset, with
+    their fit diagnostics, from one parse of its columns by
+    :func:`_branch_arrays` (per-basis count asymmetries, scaled back into
+    the Bloch ball, and normalized intensities).
+
+    ``delta_hat`` is the largest distance of the port-1 probabilities from
+    the ideal projective curve cos^2((theta - theta0)/2) at the
+    orientation theta0 of the closed-form fit :func:`_fit_target`; with
+    ``fit_amplitude`` set, the curve keeps the fitted amplitude (a
+    diagnostic mode).  ``Delta_hat`` is the largest trace distance of the
+    intensity-weighted sum of the branch states from the input state.  A
+    parabola around each maximum (:func:`_parabola_near_max`) reports the
+    vertex-vs-sample gap, which bounds the finite-sampling systematic.
+    Raises :class:`InsufficientCounts` where a state lacks counts.
+    """
     blochs, probs = _branch_arrays(d)
     delta_hat, ddiag = _delta_from_branches(d, probs)
     Delta_hat, Ddiag = _Delta_from_branches(d, blochs, probs)
@@ -717,7 +670,7 @@ def _config_to_dict(cfg: ExperimentConfig):
     return {
         "alpha": cfg.setting.alpha,
         "phi": cfg.setting.phi,
-        "convention": cfg.setting.convention,
+        "convention": BS_CONVENTION,
         "thetas": list(cfg.thetas),
         "shots_per_basis": "exact" if cfg.shots_per_basis is None
                            else cfg.shots_per_basis,
@@ -782,52 +735,39 @@ def dataset_to_json(d: SimulatedDataset) -> str:
 
 def config_from_dict(obj, path="config") -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-style dict with field-path
-    error messages."""
+    error messages.  Only the JSON types are checked here; the ranges are
+    those of :class:`InterferometerSetting` and :class:`ExperimentConfig`."""
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected a JSON object")
 
-    def number(name, default=None, lo=None, hi=math.inf, required=False):
+    def number(name, default=None, required=False):
         if name not in obj:
             if required:
                 raise ValueError(f"{path}.{name}: required field missing")
             return default
-        return _json_number(obj[name], f"{path}.{name}", lo, hi)
+        return _json_number(obj[name], f"{path}.{name}")
 
-    alpha = number("alpha", required=True, lo=0.0, hi=0.5 * np.pi)
+    alpha = number("alpha", required=True)
     phi = number("phi", required=True)
-    setting = InterferometerSetting(alpha, phi)
-
     thetas = obj.get("thetas")
     if thetas is not None:
         if not isinstance(thetas, list):
             raise ValueError(f"{path}.thetas: expected a list of numbers")
         for i, t in enumerate(thetas):
             _json_number(t, f"{path}.thetas[{i}]")
-
     shots = obj.get("shots_per_basis", 10**6)
-    if shots == "exact" or shots is None:
+    if shots == "exact":
         shots = None
-    elif (isinstance(shots, int) and not isinstance(shots, bool)
-          and 1 <= shots <= np.iinfo(np.int64).max):
-        pass
-    else:
-        raise ValueError(
-            f"{path}.shots_per_basis: expected a positive 64-bit integer or "
-            f"'exact', got {shots!r}")
-
-    noise = number("intensity_noise", default=0.0, lo=0.0)
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(
-            f"{path}.seed: expected a non-negative integer, got {seed!r}")
+    noise = number("intensity_noise", default=0.0)
     fit_amplitude = obj.get("fit_amplitude", False)
     if not isinstance(fit_amplitude, bool):
         raise ValueError(f"{path}.fit_amplitude: expected a boolean")
 
     try:
-        return ExperimentConfig(setting=setting, thetas=thetas,
-                                shots_per_basis=shots, intensity_noise=noise,
-                                seed=seed, fit_amplitude=fit_amplitude)
+        return ExperimentConfig(setting=InterferometerSetting(alpha, phi),
+                                thetas=thetas, shots_per_basis=shots,
+                                intensity_noise=noise, seed=obj.get("seed", 0),
+                                fit_amplitude=fit_amplitude)
     except ValueError as exc:
         raise ValueError(f"{path}.{exc}") from None
 
@@ -867,8 +807,3 @@ def dataset_from_json(text: str) -> SimulatedDataset:
             _json_number(value, f"records[{i}].{name}", lo=0.0)
         checked.append((theta, port, basis, *counts))
     return _dataset_from_rows(cfg, checked)
-
-
-def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Copy of a config with the seed replaced (reproducibility audits)."""
-    return replace(cfg, seed=seed)

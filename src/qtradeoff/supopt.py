@@ -1,8 +1,7 @@
-"""Result records of the measures and the parabolic extremum fit.
+"""Result record of the measures.
 
 :class:`ExtremumEstimate` carries a value together with its argmax and how
-it was obtained; :func:`parabolic_refine` fits a parabola through samples
-around an extremum (the experiment's vertex estimate).
+it was obtained.
 
 No runtime path searches: the measures compute their state suprema
 exactly and the diamond norm as one deterministic solve with a dual bound
@@ -22,13 +21,7 @@ import numpy as np
 __all__ = [
     "SupremumStrategy",
     "ExtremumEstimate",
-    "DegenerateFit",
-    "parabolic_refine",
 ]
-
-
-class DegenerateFit(ValueError):
-    """Raised when a parabolic fit has (numerically) no quadratic part."""
 
 
 @dataclass(frozen=True)
@@ -65,10 +58,9 @@ class ExtremumEstimate:
     (a solve of a concave problem; ``value + certified_gap`` is a dual
     upper bound on the supremum), ``"quadrature"`` (a fixed
     quadrature rule, not a supremum; ``certified_gap`` is 0) or
-    ``"numeric"`` (a fit or a search: :func:`parabolic_refine`, whose
-    ``certified_gap`` is the best sample minus the vertex value, and the
-    test oracles' scan plus refinement, whose gap is the best coarse-scan
-    value minus the refined value).  A ``"numeric"`` gap bounds nothing.
+    ``"numeric"`` (the test oracles' scan plus refinement, whose gap is
+    the best coarse-scan value minus the refined value).  A ``"numeric"``
+    gap bounds nothing.
     """
 
     params: np.ndarray
@@ -76,23 +68,3 @@ class ExtremumEstimate:
     certified_gap: float
     method: str = "numeric"
 
-
-def parabolic_refine(points) -> ExtremumEstimate:
-    """Least-squares parabola through (x, y) samples around an extremum.
-
-    Returns the vertex location and value; ``certified_gap`` is the best
-    sampled y minus the vertex value.  Raises :class:`DegenerateFit` when
-    the quadratic coefficient is numerically zero (e.g. collinear data).
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
-        raise ValueError("parabolic_refine needs at least 3 (x, y) points")
-    x, y = pts[:, 0], pts[:, 1]
-    if np.unique(x).size < 3:
-        raise ValueError("parabolic_refine needs at least 3 distinct x values")
-    a, b, c = np.polyfit(x, y, 2)
-    if abs(a) < 1e-12:
-        raise DegenerateFit(f"quadratic coefficient {a:.3e} is numerically zero")
-    xv = -b / (2.0 * a)
-    yv = c - b * b / (4.0 * a)
-    return ExtremumEstimate(np.array([xv]), float(yv), float(np.max(y) - yv))

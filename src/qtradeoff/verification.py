@@ -12,7 +12,7 @@ detected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .experiment import (
     analytic_tradeoff_of_setting,
     estimate_tradeoff,
     simulate_dataset,
-    with_seed,
 )
 from .instruments import (
     DiagonalFamilyParams,
@@ -222,7 +221,7 @@ def check_pipeline(gammas=(0.2, 0.5, 0.8), exact_tol=1e-6, shot_tol=3e-3,
                           abs(est.Delta_hat - dd_ref))
         base = ExperimentConfig(setting=s, shots_per_basis=shots)
         for seed in range(n_seeds):
-            est = estimate_tradeoff(simulate_dataset(with_seed(base, seed)))
+            est = estimate_tradeoff(simulate_dataset(replace(base, seed=seed)))
             total_runs += 1
             if (abs(est.delta_hat - d_ref) <= shot_tol
                     and abs(est.Delta_hat - dd_ref) <= shot_tol):

@@ -295,6 +295,23 @@ def test_experiment_rejects_unusable_numbers(tmp_path, capsys, caplog,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("overrides, theta", [
+    ({"shots_per_basis": 1, "seed": 3}, "90.0"),
+    ({"shots_per_basis": 100, "intensity_noise": 50, "seed": 1}, "100.0"),
+], ids=["one-shot", "loud-noise"])
+def test_experiment_rejects_a_dataset_without_intensity(tmp_path, capsys, caplog,
+                                                        overrides, theta):
+    # Legal configs whose draws leave a state with no light in either port:
+    # the estimate cannot be formed, which is an input error, not a crash.
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"alpha": 0.4, "phi": 1.5707963, **overrides}))
+    code, _ = run_cli(capsys, "experiment", "--config", str(f),
+                      "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert f"experiment: no intensity recorded at theta = {theta}" in caplog.text
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

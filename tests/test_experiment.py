@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import qtradeoff.experiment as experiment
 from qtradeoff.experiment import (
+    _branch_arrays,
     _branch_blochs,
     _config_to_dict,
+    _parabola_near_max,
     _pcg64_states,
     _port_key,
     ExperimentConfig,
@@ -22,14 +24,10 @@ from qtradeoff.experiment import (
     config_from_dict,
     dataset_from_json,
     dataset_to_json,
-    estimate_Delta,
-    estimate_delta,
     estimate_tradeoff,
     gamma_beta_from_setting,
     instrument_from_setting,
-    reconstruct_branch_states,
     simulate_dataset,
-    with_seed,
 )
 from qtradeoff.instruments import (
     OptimalFamilyParams,
@@ -39,7 +37,7 @@ from qtradeoff.instruments import (
 )
 from qtradeoff.measures import measurement_error
 from qtradeoff.qmath import ID2, dag
-from qtradeoff.states import linear_pol_state, sm7_state_list
+from qtradeoff.states import bloch_to_density, linear_pol_state, sm7_state_list
 
 
 def setting_for_gamma(gamma):
@@ -220,8 +218,6 @@ def test_simulate_dataset_matches_per_cell_generators(alpha, phi, seed, shots, n
 def test_setting_validation():
     with pytest.raises(ValueError):
         InterferometerSetting(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        InterferometerSetting(0.1, 0.0, convention="other")
 
 
 @pytest.mark.parametrize("phi", [float("nan"), float("inf"), -float("inf"),
@@ -326,18 +322,15 @@ def test_exact_mode_stores_expected_frequencies():
 
 def test_reconstruction_exact_mode_recovers_branches():
     cfg = ExperimentConfig(setting=setting_for_gamma(0.6), shots_per_basis=None)
-    branches = reconstruct_branch_states(simulate_dataset(cfg))
+    blochs, probs = _branch_arrays(simulate_dataset(cfg))
     ins = instrument_from_setting(cfg.setting)
-    for theta in cfg.thetas:
+    for i, theta in enumerate(cfg.thetas):
         rho = linear_pol_state(theta)
-        probs = outcome_probabilities(ins, rho)
-        for port, k in zip((1, 2), (ins.k1, ins.k2)):
-            est = branches[(theta, port)]
-            p = probs[port - 1]
-            assert est.probability == pytest.approx(p, abs=1e-12)
+        for j, (p, k) in enumerate(zip(outcome_probabilities(ins, rho), (ins.k1, ins.k2))):
+            assert probs[i, j] == pytest.approx(p, abs=1e-12)
             if p > 1e-9:
                 expected = (k @ rho @ dag(k)) / p
-                assert np.allclose(est.rho, expected, atol=1e-12)
+                assert np.allclose(bloch_to_density(blochs[i, j]), expected, atol=1e-12)
 
 
 def test_reconstruction_equal_counts_gives_maximally_mixed():
@@ -347,10 +340,9 @@ def test_reconstruction_equal_counts_gives_maximally_mixed():
             records.append(Record(0.0, port, basis, 500, 500, 1000))
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,),
                            shots_per_basis=1000)
-    d = SimulatedDataset.from_records(cfg, records)
-    branches = reconstruct_branch_states(d)
-    assert np.allclose(branches[(0.0, 1)].rho, 0.5 * ID2, atol=1e-12)
-    assert branches[(0.0, 1)].probability == pytest.approx(0.5)
+    blochs, probs = _branch_arrays(SimulatedDataset.from_records(cfg, records))
+    assert np.allclose(bloch_to_density(blochs[0, 0]), 0.5 * ID2, atol=1e-12)
+    assert probs[0, 0] == pytest.approx(0.5)
 
 
 def test_reconstruction_projects_nonphysical_inversion():
@@ -361,8 +353,8 @@ def test_reconstruction_projects_nonphysical_inversion():
             records.append(Record(0.0, port, basis, 999, 1, 1000))
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,),
                            shots_per_basis=1000)
-    branches = reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
-    rho = branches[(0.0, 1)].rho
+    blochs, _ = _branch_arrays(SimulatedDataset.from_records(cfg, records))
+    rho = bloch_to_density(blochs[0, 0])
     vals = np.linalg.eigvalsh(rho)
     assert vals.min() >= -1e-12
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -378,7 +370,7 @@ def test_reconstruction_insufficient_counts():
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts,
                        match="zero shots in basis 'y' at theta = 0.0, port 1"):
-        reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
+        _branch_arrays(SimulatedDataset.from_records(cfg, records))
 
 
 def test_reconstruction_missing_basis():
@@ -387,7 +379,7 @@ def test_reconstruction_missing_basis():
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts,
                        match="missing basis 'y' at theta = 0.0, port 1"):
-        reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
+        _branch_arrays(SimulatedDataset.from_records(cfg, records))
 
 
 @pytest.mark.parametrize("records, message", [
@@ -403,7 +395,7 @@ def test_reconstruction_single_usable_record(records, message):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts, match=message):
-        reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
+        _branch_arrays(SimulatedDataset.from_records(cfg, records))
 
 
 @pytest.mark.parametrize("records", [[], [Record(45.0, 1, "x", 5, 5, 10)]],
@@ -412,7 +404,7 @@ def test_reconstruction_without_usable_records(records):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts, match=r"^no intensity recorded at theta = 0\.0$"):
-        reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
+        _branch_arrays(SimulatedDataset.from_records(cfg, records))
 
 
 @pytest.mark.parametrize("drop, dark, message", [
@@ -430,7 +422,7 @@ def test_reconstruction_reports_first_gap(drop, dark, message):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts, match=message):
-        reconstruct_branch_states(SimulatedDataset.from_records(cfg, records))
+        _branch_arrays(SimulatedDataset.from_records(cfg, records))
 
 
 def reference_branch_blochs(ins, thetas):
@@ -519,11 +511,8 @@ def two_state_records():
 
 
 def assert_same_branches(d1, d2):
-    b1, b2 = reconstruct_branch_states(d1), reconstruct_branch_states(d2)
-    assert list(b1) == list(b2)
-    for key in b1:
-        np.testing.assert_array_equal(b1[key].rho, b2[key].rho)
-        assert b1[key].probability == b2[key].probability
+    for a1, a2 in zip(_branch_arrays(d1), _branch_arrays(d2)):
+        np.testing.assert_array_equal(a1, a2)
 
 
 def test_reconstruction_last_duplicate_wins():
@@ -544,7 +533,7 @@ def test_reconstruction_last_duplicate_wins():
                          dataset_of(two_state_cfg, records))
     with pytest.raises(InsufficientCounts,
                        match=r"^zero shots in basis 'y' at theta = 90\.0, port 1$"):
-        reconstruct_branch_states(dataset_of(two_state_cfg, records + [empty]))
+        _branch_arrays(dataset_of(two_state_cfg, records + [empty]))
 
 
 def test_reconstruction_ignores_angles_outside_the_config():
@@ -597,13 +586,11 @@ def test_zero_noise_projective_estimates():
 def test_error_integrand_extremal_states():
     # vanishes at 90 / 270, maximal at 0 / 180 (beta = 0)
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), shots_per_basis=None)
-    d = simulate_dataset(cfg)
-    branches = reconstruct_branch_states(d)
+    _, probs = _branch_arrays(simulate_dataset(cfg))
     ins = instrument_from_setting(cfg.setting)
     delta_exact = measurement_error(povm_of(ins))
-    devs = {t: abs(branches[(t, 1)].probability
-                   - 0.5 * (1.0 + np.cos(np.deg2rad(t))))
-            for t in cfg.thetas}
+    devs = {t: abs(p - 0.5 * (1.0 + np.cos(np.deg2rad(t))))
+            for t, p in zip(cfg.thetas, probs[:, 0])}
     assert devs[90.0] < 1e-15
     assert devs[270.0] < 1e-15
     assert devs[0.0] == pytest.approx(delta_exact, abs=1e-12)
@@ -613,12 +600,11 @@ def test_error_integrand_extremal_states():
 
 def test_disturbance_integrand_extremal_states():
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), shots_per_basis=None)
-    d = simulate_dataset(cfg)
-    branches = reconstruct_branch_states(d)
+    blochs, probs = _branch_arrays(simulate_dataset(cfg))
 
     def dist(theta):
-        out = sum(branches[(theta, port)].probability * branches[(theta, port)].rho
-                  for port in (1, 2))
+        i = cfg.thetas.index(theta)
+        out = sum(p * bloch_to_density(b) for p, b in zip(probs[i], blochs[i]))
         return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(out - linear_pol_state(theta))))
 
     assert dist(0.0) < 1e-15
@@ -628,8 +614,9 @@ def test_disturbance_integrand_extremal_states():
 
 def test_delta_estimate_diagnostics():
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), shots_per_basis=None)
-    val, diag = estimate_delta(simulate_dataset(cfg))
-    assert val == pytest.approx(0.25, abs=1e-9)
+    est = estimate_tradeoff(simulate_dataset(cfg))
+    diag = est.diagnostics["delta"]
+    assert est.delta_hat == pytest.approx(0.25, abs=1e-9)
     theta0 = diag["theta0_deg"]
     assert 0.0 <= theta0 < 360.0
     assert min(theta0, 360.0 - theta0) <= 1e-6
@@ -643,15 +630,16 @@ def test_fit_amplitude_compares_with_fitted_curve():
     # matches them where the unit-amplitude ideal curve misses by 0.25.
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), shots_per_basis=None,
                            fit_amplitude=True)
-    val, diag = estimate_delta(simulate_dataset(cfg))
-    assert val <= 1e-9
-    assert diag["amplitude"] == pytest.approx(0.5, abs=1e-12)
+    est = estimate_tradeoff(simulate_dataset(cfg))
+    assert est.delta_hat <= 1e-9
+    assert est.diagnostics["delta"]["amplitude"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_Delta_estimate_diagnostics():
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), shots_per_basis=None)
-    val, diag = estimate_Delta(simulate_dataset(cfg))
-    assert val == pytest.approx(0.5 * (1.0 - np.sqrt(0.75)), abs=1e-9)
+    est = estimate_tradeoff(simulate_dataset(cfg))
+    diag = est.diagnostics["Delta"]
+    assert est.Delta_hat == pytest.approx(0.5 * (1.0 - np.sqrt(0.75)), abs=1e-9)
     assert diag["argmax_theta_deg"] == 90.0
     par = diag["parabola"]
     assert par is not None
@@ -660,22 +648,51 @@ def test_Delta_estimate_diagnostics():
 
 
 @pytest.mark.parametrize("shots", [4000, None])
-def test_estimate_tradeoff_matches_separate_estimates(shots, monkeypatch):
+def test_estimate_tradeoff_parses_the_columns_once(shots, monkeypatch):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.6),
                            shots_per_basis=shots, seed=5)
     d = simulate_dataset(cfg)
-    delta_hat, ddiag = estimate_delta(d)
-    Delta_hat, Ddiag = estimate_Delta(d)
-
     calls = []
     original = experiment._branch_arrays
     monkeypatch.setattr(experiment, "_branch_arrays",
                         lambda ds: calls.append(ds) or original(ds))
     est = estimate_tradeoff(d)
-    assert len(calls) == 1
-    assert est.delta_hat == delta_hat
-    assert est.Delta_hat == Delta_hat
-    assert est.diagnostics == {"delta": ddiag, "Delta": Ddiag}
+    assert calls == [d]
+    assert list(est.diagnostics) == ["delta", "Delta"]
+
+
+def test_parabola_exact_vertex():
+    thetas = np.arange(0.0, 50.0, 5.0)
+    values = 5.0 - 1e-3 * (thetas - 22.0) ** 2
+    par = _parabola_near_max(thetas, values)
+    assert par["vertex_theta_deg"] == pytest.approx(22.0, abs=1e-9)
+    assert par["vertex_value"] == pytest.approx(5.0, abs=1e-12)
+    assert par["gap"] == pytest.approx(5.0 - values.max(), abs=1e-12)
+    assert par["rel_gap"] == par["gap"] / values.max()
+
+
+def test_parabola_collinear_degenerate():
+    thetas = np.arange(0.0, 25.0, 5.0)
+    assert _parabola_near_max(thetas, 1.0 + 0.01 * thetas) is None
+
+
+def test_parabola_least_squares_noise():
+    rng = np.random.default_rng(1)
+    u = np.linspace(-1, 1, 21)
+    values = 3.0 - 2.0 * (u - 0.25) ** 2 + 1e-6 * rng.standard_normal(u.size)
+    par = _parabola_near_max(20.0 * u, values)
+    assert par["vertex_theta_deg"] == pytest.approx(5.0, abs=2e-3)
+    assert par["vertex_value"] == pytest.approx(3.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("thetas, values", [
+    ([0.0, 30.0, 60.0, 90.0], [0.0, 1.0, 0.5, 0.0]),
+    ([0.0, 20.0, 50.0], [1.0, 0.9, 0.2]),
+], ids=["one", "two"])
+def test_parabola_needs_three_points_in_the_window(thetas, values):
+    # Only samples within 25 degrees of the largest one enter the fit.
+    assert _parabola_near_max(thetas, values) is None
+    assert _parabola_near_max(thetas, values, window_deg=60.0) is not None
 
 
 def test_estimator_bias_is_upward():
@@ -686,7 +703,7 @@ def test_estimator_bias_is_upward():
     base = ExperimentConfig(setting=s, shots_per_basis=10**5)
     vals = []
     for seed in range(100):
-        est = estimate_tradeoff(simulate_dataset(with_seed(base, seed)))
+        est = estimate_tradeoff(simulate_dataset(dataclasses.replace(base, seed=seed)))
         vals.append(est.Delta_hat)
     vals = np.asarray(vals)
     sem = vals.std(ddof=1) / np.sqrt(vals.size)
@@ -809,10 +826,12 @@ def test_dataset_json_matches_json_module(dataset):
 def test_dataset_json_keeps_a_percent_sign_in_the_config(monkeypatch):
     # The config is written into the template that the records fill.
     monkeypatch.setattr(experiment, "BS_CONVENTION", "50%s/%r%%")
-    setting = InterferometerSetting(0.4, 0.9, convention="50%s/%r%%")
-    d = simulate_dataset(ExperimentConfig(setting=setting, thetas=(0.0, 90.0),
+    d = simulate_dataset(ExperimentConfig(setting=InterferometerSetting(0.4, 0.9),
+                                          thetas=(0.0, 90.0),
                                           shots_per_basis=100, seed=1))
-    assert dataset_to_json(d) == reference_json(d)
+    text = dataset_to_json(d)
+    assert '"convention": "50%s/%r%%"' in text
+    assert text == reference_json(d)
 
 
 def test_dataset_json_keeps_signed_zeros_and_repeats_apart():
@@ -942,7 +961,7 @@ def test_config_stores_numpy_integers_as_int(name):
     assert type(getattr(cfg, name)) is int
     d = simulate_dataset(cfg)
     assert dataset_from_json(dataset_to_json(d)) == d
-    assert type(with_seed(cfg, np.uint32(5)).seed) is int
+    assert type(dataclasses.replace(cfg, seed=np.uint32(5)).seed) is int
 
 
 def test_config_from_dict_field_errors():

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from qtradeoff.experiment import (
+    _branch_arrays,
     config_from_dict,
     dataset_to_json,
     estimate_tradeoff,
-    reconstruct_branch_states,
     simulate_dataset,
 )
 from test_target_fit import circular_distance_deg, sse
@@ -137,7 +137,6 @@ def test_golden_dataset_and_estimates(name):
 
     # The fit is at least as good as the recorded one.
     thetas = np.asarray(d.config.thetas)
-    branches = reconstruct_branch_states(d)
-    p1_hat = np.array([branches[(t, 1)].probability for t in thetas])
+    p1_hat = _branch_arrays(d)[1][:, 0]
     assert (sse(thetas, p1_hat, diag["theta0_deg"], diag["amplitude"])
             <= sse(thetas, p1_hat, theta0, amplitude) + 1e-15)

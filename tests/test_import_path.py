@@ -10,6 +10,7 @@ interpreter that imports the package from this checkout.
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -71,6 +72,13 @@ def test_no_cli_path_loads_scipy(tmp_path):
     proc = run_fresh(["-c", GUARD], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for _, name, _ in pkgutil.iter_modules(qtradeoff.__path__)))
+def test_star_import_of_every_module(module):
+    # Fails on an __all__ entry whose definition was deleted.
+    exec(f"from qtradeoff.{module} import *", {})
 
 
 def test_python_m_qtradeoff_runs_the_cli(tmp_path):

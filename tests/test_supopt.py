@@ -1,5 +1,5 @@
-"""``qtradeoff.supopt`` (the strategy record and the parabolic fit) and
-the test oracles in ``tests/oracles.py`` that take the strategy."""
+"""``qtradeoff.supopt`` (the strategy record) and the test oracles in
+``tests/oracles.py`` that take the strategy."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from oracles import maximize_over_bipartite_pure_states, maximize_over_pure_stat
 from qtradeoff.instruments import OptimalFamilyParams, apply_channel, make_optimal_instrument
 from qtradeoff.qmath import SIGMA_Z
 from qtradeoff.states import density_to_bloch
-from qtradeoff.supopt import DegenerateFit, SupremumStrategy, parabolic_refine
+from qtradeoff.supopt import SupremumStrategy
 
 SMALL = SupremumStrategy(coarse_grid_points=16, refine_iterations=60,
                          tolerance=1e-8, multistarts=4)
@@ -118,37 +118,3 @@ def test_bipartite_extra_starts_are_used():
     with_start = maximize_over_bipartite_pure_states(f, tiny, extra_starts=[target])
     assert with_start.value == pytest.approx(1.0, abs=1e-6)
 
-
-# ---------------------------------------------------------------------------
-# parabolic_refine
-# ---------------------------------------------------------------------------
-
-def test_parabola_exact_vertex():
-    xs = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    ys = -((xs - 2.0) ** 2) + 5.0
-    est = parabolic_refine(np.column_stack([xs, ys]))
-    assert est.params[0] == pytest.approx(2.0, abs=1e-10)
-    assert est.value == pytest.approx(5.0, abs=1e-10)
-    assert est.certified_gap == pytest.approx(5.0 - est.value, abs=1e-12)
-
-
-def test_parabola_collinear_degenerate():
-    pts = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
-    with pytest.raises(DegenerateFit):
-        parabolic_refine(pts)
-
-
-def test_parabola_input_validation():
-    with pytest.raises(ValueError):
-        parabolic_refine([(0.0, 1.0), (1.0, 2.0)])
-    with pytest.raises(ValueError):
-        parabolic_refine([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)])
-
-
-def test_parabola_least_squares_noise():
-    rng = np.random.default_rng(1)
-    xs = np.linspace(-1, 1, 21)
-    ys = 3.0 - 2.0 * (xs - 0.25) ** 2 + 1e-6 * rng.standard_normal(xs.size)
-    est = parabolic_refine(np.column_stack([xs, ys]))
-    assert est.params[0] == pytest.approx(0.25, abs=1e-4)
-    assert est.value == pytest.approx(3.0, abs=1e-5)
