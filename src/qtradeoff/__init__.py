@@ -27,8 +27,6 @@ from .measures import (
     MeasureKind,
     TradeoffPoint,
     UnknownKind,
-    check_measure_axioms,
-    diagonal_disturbance_closed_form,
     disturbance,
     measurement_error,
     tradeoff_of,
@@ -46,7 +44,9 @@ from .schemes import (
     MarginalChannelSpec,
     SwapParams,
     cloner_tradeoff_point,
+    diagonal_tradeoff_point,
     optimal_frontier,
+    optimal_tradeoff_point,
     swap_tradeoff_point,
 )
 from .states import (

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import schemes, verification
 from .experiment import (
-    InsufficientCounts,
     analytic_tradeoff_of_setting,
     config_from_dict,
     dataset_to_json,
@@ -29,22 +28,10 @@ from .experiment import (
     gamma_beta_from_setting,
     simulate_dataset,
 )
-from .instruments import (
-    DiagonalFamilyParams,
-    NotNormalized,
-    OptimalFamilyParams,
-    ParamOutOfRange,
-    instrument_from_descriptor,
-    make_diagonal_instrument,
-    make_optimal_instrument,
-    povm_of,
-)
+from .instruments import instrument_from_descriptor, povm_of
 from .measures import (
     HS_TO_TRACE_NORM_SCALE,
     MeasureKind,
-    UnknownKind,
-    diagonal_disturbance_closed_form,
-    diagonal_measurement_error_closed_form,
     disturbance_estimate,
     measurement_error_estimate,
 )
@@ -69,30 +56,8 @@ def _sweep_point(scheme, value, kind):
     """Closed-form and computed (delta, Delta) of one sweep row.  The
     closed-form Delta is None where the kind has no closed form
     (diamond)."""
-    if scheme == "optimal":
-        ins = make_optimal_instrument(OptimalFamilyParams(value))
-        povm, channel = povm_of(ins), ins
-        delta = 0.5 * (1.0 - value)
-        base = 0.5 * (1.0 - np.sqrt(1.0 - value**2))
-    elif scheme == "diagonal":
-        params = DiagonalFamilyParams(value, value)
-        ins = make_diagonal_instrument(params)
-        povm, channel = povm_of(ins), ins
-        delta = diagonal_measurement_error_closed_form(params)
-        base = diagonal_disturbance_closed_form(params)
-    elif scheme == "cloner":
-        p = schemes.ClonerParams.from_a2(value)
-        povm = schemes.cloner_induced_povm(p)
-        channel = schemes.cloner_system_channel_spec(p)
-        pt = schemes.cloner_tradeoff_point(p)
-        delta, base = pt.delta, pt.Delta
-    else:
-        p = schemes.SwapParams(value)
-        povm = schemes.swap_induced_povm(p)
-        channel = schemes.swap_system_channel_spec(p)
-        pt = schemes.swap_tradeoff_point(p)
-        delta, base = pt.delta, pt.Delta
-
+    povm, channel, point = schemes.scheme_point(scheme, value)
+    base = point.Delta
     if kind is MeasureKind.WORST_TRACE or kind is MeasureKind.WORST_INFIDELITY:
         Delta_c = base
     elif kind is MeasureKind.WORST_HS:
@@ -103,7 +68,7 @@ def _sweep_point(scheme, value, kind):
         Delta_c = base if scheme in ("cloner", "swap") else base * np.pi / 4.0
     else:
         Delta_c = None
-    return (delta, Delta_c, measurement_error_estimate(povm).value,
+    return (point.delta, Delta_c, measurement_error_estimate(povm).value,
             disturbance_estimate(channel, kind).value)
 
 
@@ -148,7 +113,7 @@ def cmd_eval(args) -> int:
     try:
         kind = MeasureKind(args.kind)
         ins = instrument_from_descriptor(desc)
-    except (ValueError, ParamOutOfRange, NotNormalized, UnknownKind) as exc:
+    except ValueError as exc:
         log.error("eval: %s", exc)
         return EXIT_INPUT
 
@@ -212,10 +177,10 @@ def cmd_experiment(args) -> int:
              "exact" if cfg.shots_per_basis is None else cfg.shots_per_basis,
              cfg.seed)
 
-    dataset = simulate_dataset(cfg)
     try:
+        dataset = simulate_dataset(cfg)
         estimate = estimate_tradeoff(dataset)
-    except InsufficientCounts as exc:
+    except ValueError as exc:  # counts that cannot be drawn or analysed
         log.error("experiment: %s", exc)
         return EXIT_INPUT
     gamma, beta = gamma_beta_from_setting(cfg.setting)

@@ -464,7 +464,11 @@ def _draw_counts(cfg, plus, probs):
         counts = binomial(n, qx), binomial(n, qy), binomial(n, qz)
         inten = binomial(n, qi)
         if noise > 0.0:
-            inten = max(0, int(round(inten * (1.0 + rng.normal(0.0, noise)))))
+            scaled = inten * (1.0 + rng.normal(0.0, noise))
+            if not math.isfinite(scaled):
+                raise ValueError(f"config.intensity_noise = {noise!r} takes "
+                                 f"an intensity count beyond float range")
+            inten = max(0, int(round(scaled)))
         n_plus += counts
         intensity += (inten, inten, inten)
     return n_plus, intensity

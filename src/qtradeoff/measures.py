@@ -33,7 +33,8 @@ searches, and the package needs numpy alone; the grid plus Nelder-Mead
 maximizers that cross-check every kind are test oracles and live with
 the tests.
 
-The random-sampling axiom checker takes an explicit seeded generator.
+The closed-form points of the schemes live in :mod:`qtradeoff.schemes`
+and the sampled axiom checks in :mod:`qtradeoff.verification`.
 """
 
 from __future__ import annotations
@@ -41,14 +42,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping
 
 import numpy as np
 
 from .instruments import (
-    NORMALIZATION_TOL, DiagonalFamilyParams, Instrument, Povm, povm_of,
-    validate_instrument)
+    NORMALIZATION_TOL, Instrument, Povm, apply_channel, povm_of)
 from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag
 from .supopt import ExtremumEstimate
 
@@ -60,14 +60,10 @@ __all__ = [
     "HS_TO_TRACE_NORM_SCALE",
     "measurement_error",
     "measurement_error_estimate",
-    "diagonal_measurement_error_closed_form",
-    "diagonal_disturbance_closed_form",
     "diagonal_channel_disturbance_exact",
     "disturbance",
     "disturbance_estimate",
     "tradeoff_of",
-    "AxiomReport",
-    "check_measure_axioms",
 ]
 
 
@@ -251,56 +247,32 @@ def measurement_error(povm: Povm) -> float:
     return measurement_error_estimate(povm).value
 
 
-def diagonal_measurement_error_closed_form(p: DiagonalFamilyParams) -> float:
-    """Symmetric-locus closed form (b1^2 + b2^2) / 2 for the diagonal family.
-
-    Exact whenever b1 == b2 (which covers the optimal family and both
-    reference schemes); for b1 != b2 the true supremum is
-    max(b1^2, b2^2) and this expression is a lower bound.
-    """
-    return 0.5 * (p.b1**2 + p.b2**2)
-
-
 # ---------------------------------------------------------------------------
 # Channel handling
 # ---------------------------------------------------------------------------
-
-def _kraus_map(k1, k2):
-    k1d, k2d = dag(k1), dag(k2)
-    return lambda x: k1 @ x @ k1d + k2 @ x @ k2d
-
 
 def _channel_map(channel):
     """(T, linear): the channel as a function on 2x2 operators, and
     whether T is known to be linear on all of them, not only on states (a
     bare callable is not; the diamond kind needs it)."""
     if isinstance(channel, Instrument):
-        return _kraus_map(channel.k1, channel.k2), True
+        return partial(apply_channel, channel), True
     if hasattr(channel, "weight") and hasattr(channel, "replacement"):
-        w = float(channel.weight)
-        rep = np.asarray(channel.replacement, dtype=complex)
-        return lambda x: w * rep * np.trace(x) + (1.0 - w) * x, True
+        return channel.apply, True
     if callable(channel):
         return channel, False
     raise TypeError(f"cannot interpret {type(channel).__name__} as a channel")
 
 
-def diagonal_disturbance_closed_form(p: DiagonalFamilyParams) -> float:
-    """Closed-form worst-case trace-norm disturbance of the diagonal family:
-
-        Delta = (1/2) |1 - e^{i beta1} b1 sqrt(1 - b2^2)
-                        - e^{i beta2} b2 sqrt(1 - b1^2)|.
-
-    The channel preserves populations and scales the coherence by the
-    bracketed factor; the supremum sits on the Bloch equator.
-    """
-    eta = (np.exp(1j * p.beta1) * p.b1 * np.sqrt(1.0 - p.b2**2)
-           + np.exp(1j * p.beta2) * p.b2 * np.sqrt(1.0 - p.b1**2))
-    return 0.5 * abs(1.0 - eta)
-
-
 def diagonal_channel_disturbance_exact(ins: Instrument) -> float:
-    """Exact worst-case trace-norm disturbance for diagonal Kraus pairs."""
+    """Exact worst-case trace-norm disturbance for diagonal Kraus pairs:
+
+        Delta = (1/2) |1 - eta|,  eta = K1[0,0] conj(K1[1,1])
+                                        + K2[0,0] conj(K2[1,1]).
+
+    The channel preserves populations and scales the coherence by eta;
+    the supremum sits on the Bloch equator.
+    """
     for k in (ins.k1, ins.k2):
         if abs(k[0, 1]) > 1e-12 or abs(k[1, 0]) > 1e-12:
             raise ValueError("instrument Kraus operators are not diagonal")
@@ -354,7 +326,7 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
     """Disturbance of a channel with argmax information.
 
     ``channel`` may be an :class:`Instrument`, a marginal-channel spec
-    (an object with ``weight`` and ``replacement``), or a bare linear
+    (:class:`~qtradeoff.schemes.MarginalChannelSpec`), or a bare linear
     callable on 2x2 states (all kinds except diamond).  The channel must
     be trace-preserving (ValueError otherwise).  ``strategy`` is never
     read: no kind searches.  It stays only because the benchmark's diamond
@@ -531,122 +503,3 @@ def tradeoff_of(ins: Instrument, kind=MeasureKind.WORST_TRACE) -> TradeoffPoint:
     tag = dict(ins.label)
     tag["kind"] = kind.value
     return TradeoffPoint(delta, Delta, tag)
-
-
-# ---------------------------------------------------------------------------
-# Axioms of the measures (sampled checks)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AxiomEntry:
-    name: str
-    worst: float
-    tol: float
-
-    @property
-    def passed(self):
-        return self.worst <= self.tol
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    entries: tuple
-
-    @property
-    def all_passed(self):
-        return all(e.passed for e in self.entries)
-
-    def worst_of(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e.worst
-        raise KeyError(name)
-
-
-def _random_unitary(rng, dim=2):
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _random_povm(rng):
-    u = _random_unitary(rng)
-    e1 = u @ np.diag(rng.uniform(0.0, 1.0, size=2)) @ dag(u)
-    e1 = 0.5 * (e1 + dag(e1))
-    return Povm(e1, ID2 - e1)
-
-
-def _random_instrument(rng):
-    # Haar 4x4 unitary -> isometry C^2 -> C^2 (x) C^2 -> Kraus pair.
-    u = _random_unitary(rng, 4)
-    v = u[:, :2]
-    return validate_instrument(v[0:2, :], v[2:4, :])
-
-
-def _mix_povm(a: Povm, b: Povm, lam):
-    return Povm(lam * a.e1 + (1 - lam) * b.e1, lam * a.e2 + (1 - lam) * b.e2)
-
-
-_AXIOM_TOLS = {
-    "delta-convexity": 1e-8,
-    "delta-permutation-invariance": 1e-8,
-    "delta-diagonal-unitary-invariance": 1e-8,
-    "Delta-convexity": 1e-6,
-    "Delta-basis-independence": 1e-6,
-}
-
-
-def check_measure_axioms(samples: int, rng) -> AxiomReport:
-    """Numerically verify the structural properties of delta and Delta on
-    random POVM pairs and random single-Kraus-pair channels.
-
-    Checks per trial: convexity of delta under POVM mixing; invariance of
-    delta under conjugation by the two-element permutation and by a random
-    diagonal unitary; convexity of Delta under channel mixing; invariance
-    of Delta under a random change of basis.  Both measures are exact
-    suprema.  Pass a seeded ``numpy.random.Generator``.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    worst = {name: 0.0 for name in _AXIOM_TOLS}
-
-    for _ in range(samples):
-        m, mp = _random_povm(rng), _random_povm(rng)
-        lam = float(rng.uniform())
-
-        d_m = measurement_error(m)
-        d_mp = measurement_error(mp)
-        d_mix = measurement_error(_mix_povm(m, mp, lam))
-        worst["delta-convexity"] = max(
-            worst["delta-convexity"], d_mix - (lam * d_m + (1 - lam) * d_mp))
-
-        # Permutation pi = (1 2): elements swapped and conjugated by sigma_x.
-        perm = Povm(SIGMA_X @ m.e2 @ SIGMA_X, SIGMA_X @ m.e1 @ SIGMA_X)
-        worst["delta-permutation-invariance"] = max(
-            worst["delta-permutation-invariance"],
-            abs(measurement_error(perm) - d_m))
-
-        chi = float(rng.uniform(0.0, 2.0 * np.pi))
-        du = np.diag([1.0, np.exp(1j * chi)])
-        rotated = Povm(dag(du) @ m.e1 @ du, dag(du) @ m.e2 @ du)
-        worst["delta-diagonal-unitary-invariance"] = max(
-            worst["delta-diagonal-unitary-invariance"],
-            abs(measurement_error(rotated) - d_m))
-
-        ins_a, ins_b = _random_instrument(rng), _random_instrument(rng)
-        fa, fb = _channel_map(ins_a)[0], _channel_map(ins_b)[0]
-        da = disturbance(fa)
-        db = disturbance(fb)
-        dmix = disturbance(lambda rho: lam * fa(rho) + (1 - lam) * fb(rho))
-        worst["Delta-convexity"] = max(
-            worst["Delta-convexity"], dmix - (lam * da + (1 - lam) * db))
-
-        u = _random_unitary(rng)
-        ud = dag(u)
-        drot = disturbance(lambda rho: u @ fa(ud @ rho @ u) @ ud)
-        worst["Delta-basis-independence"] = max(
-            worst["Delta-basis-independence"], abs(drot - da))
-
-    entries = tuple(AxiomEntry(name, worst[name], tol)
-                    for name, tol in _AXIOM_TOLS.items())
-    return AxiomReport(entries)

@@ -23,6 +23,10 @@ the dual of the channel, from tr(E' rho) = tr(E T_s'(rho)).
 Closed-form curves (as functions of the measurement error d <= 1/2):
 optimal frontier (1/2)(sqrt(1-d) - sqrt(d))^2, cloner
 (1/4)(sqrt(2-3d) - sqrt(d))^2, swap 1/2 - d.
+
+Each scheme's closed-form (delta, Delta) point is stated here once, the
+optimal and diagonal instrument families' included; :func:`scheme_point`
+gives the POVM, channel and closed-form point of one swept value.
 """
 
 from __future__ import annotations
@@ -31,8 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import Povm
-from .measures import TradeoffPoint, TARGET_POVM
+from .instruments import (
+    DiagonalFamilyParams, OptimalFamilyParams, Povm, make_diagonal_instrument,
+    make_optimal_instrument, povm_of)
+from .measures import (
+    TARGET_POVM, TradeoffPoint, diagonal_channel_disturbance_exact)
 from .qmath import ID2
 from .states import MAXIMALLY_MIXED, validate_density
 
@@ -40,6 +47,8 @@ __all__ = [
     "ClonerParams",
     "SwapParams",
     "MarginalChannelSpec",
+    "optimal_tradeoff_point",
+    "diagonal_tradeoff_point",
     "cloner_induced_povm",
     "cloner_system_channel_spec",
     "cloner_tradeoff_point",
@@ -49,6 +58,7 @@ __all__ = [
     "swap_tradeoff_point",
     "swap_tradeoff_curve",
     "optimal_frontier",
+    "scheme_point",
 ]
 
 _CONSTRAINT_TOL = 1e-10
@@ -122,6 +132,30 @@ def _induced_povm(spec: MarginalChannelSpec) -> Povm:
 
 
 # ---------------------------------------------------------------------------
+# Optimal and diagonal instrument families
+# ---------------------------------------------------------------------------
+
+def optimal_tradeoff_point(p: OptimalFamilyParams) -> TradeoffPoint:
+    """Closed-form (delta, Delta) = ((1 - g)/2, (1 - sqrt(1 - g^2) cos beta)/2)
+    of the optimal family; on the frontier at beta = 0."""
+    g = p.gamma
+    return TradeoffPoint(0.5 * (1.0 - g),
+                         0.5 * (1.0 - np.sqrt(1.0 - g**2) * np.cos(p.beta)),
+                         {"scheme": "optimal", "gamma": g, "beta": p.beta})
+
+
+def diagonal_tradeoff_point(p: DiagonalFamilyParams) -> TradeoffPoint:
+    """Closed-form (delta, Delta) of the diagonal family: delta =
+    max(b1^2, b2^2), and Delta from the channel's coherence factor
+    (:func:`~qtradeoff.measures.diagonal_channel_disturbance_exact`)."""
+    return TradeoffPoint(
+        max(p.b1**2, p.b2**2),
+        diagonal_channel_disturbance_exact(make_diagonal_instrument(p)),
+        {"scheme": "diagonal", "b1": p.b1, "b2": p.b2,
+         "beta1": p.beta1, "beta2": p.beta2})
+
+
+# ---------------------------------------------------------------------------
 # Optimal universal asymmetric cloner
 # ---------------------------------------------------------------------------
 
@@ -192,3 +226,30 @@ def optimal_frontier(delta: float) -> float:
     if delta >= 0.5:
         return 0.0
     return 0.5 * (np.sqrt(1.0 - delta) - np.sqrt(delta)) ** 2
+
+
+# ---------------------------------------------------------------------------
+# One swept point of each scheme
+# ---------------------------------------------------------------------------
+
+def scheme_point(scheme, value):
+    """(POVM, channel, closed-form point) of one swept parameter value:
+    gamma of the optimal family, b1 = b2 of the diagonal family (phases
+    0), a2 of the cloner or t of the swap."""
+    if scheme == "optimal":
+        p = OptimalFamilyParams(value)
+        ins = make_optimal_instrument(p)
+        return povm_of(ins), ins, optimal_tradeoff_point(p)
+    if scheme == "diagonal":
+        p = DiagonalFamilyParams(value, value)
+        ins = make_diagonal_instrument(p)
+        return povm_of(ins), ins, diagonal_tradeoff_point(p)
+    if scheme == "cloner":
+        p = ClonerParams.from_a2(value)
+        return (cloner_induced_povm(p), cloner_system_channel_spec(p),
+                cloner_tradeoff_point(p))
+    if scheme == "swap":
+        p = SwapParams(value)
+        return (swap_induced_povm(p), swap_system_channel_spec(p),
+                swap_tradeoff_point(p))
+    raise ValueError(f"unknown scheme {scheme!r}")

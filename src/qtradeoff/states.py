@@ -39,7 +39,9 @@ class OutsideBall(ValueError):
 def validate_density(rho, tol=_DENSITY_TOL):
     """Check Hermiticity, unit trace and positivity of a 2x2 state.
 
-    Returns the validated array; raises ValueError on violation.
+    Positivity is tested on the Hermitian part, so the Hermiticity
+    tolerance here is the only one that applies.  Returns the validated
+    array; raises ValueError on violation.
     """
     a = _as_matrix(rho, "rho")
     if np.linalg.norm(a - a.conj().T) > tol * max(1.0, np.linalg.norm(a)):
@@ -47,7 +49,7 @@ def validate_density(rho, tol=_DENSITY_TOL):
     tr = np.trace(a).real
     if abs(tr - 1.0) > tol:
         raise ValueError(f"density matrix has trace {tr}, expected 1")
-    if herm_eigvals(a)[-1] < -tol:
+    if herm_eigvals(0.5 * (a + a.conj().T))[-1] < -tol:
         raise ValueError("density matrix has a negative eigenvalue")
     return a
 

@@ -7,12 +7,15 @@ Each check returns a :class:`CheckResult` with the worst observed
 deviation, so a caller can print one line per check.  The functions take
 their thresholds and, where meaningful, an injectable frontier function,
 which lets a test verify that a deliberately perturbed frontier is
-detected.
+detected.  The scheme checks build their schemes with
+:func:`qtradeoff.schemes.scheme_point`; the axiom check samples from a
+seeded generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -25,21 +28,10 @@ from .experiment import (
     simulate_dataset,
 )
 from .instruments import (
-    DiagonalFamilyParams,
-    OptimalFamilyParams,
-    apply_channel,
-    make_diagonal_instrument,
-    make_optimal_instrument,
-    povm_of,
-)
+    DiagonalFamilyParams, Povm, apply_channel, validate_instrument)
 from .measures import (
-    MeasureKind,
-    check_measure_axioms,
-    diagonal_channel_disturbance_exact,
-    disturbance,
-    disturbance_estimate,
-    measurement_error,
-)
+    MeasureKind, disturbance, disturbance_estimate, measurement_error)
+from .qmath import ID2, SIGMA_X, dag
 
 __all__ = ["CheckResult", "run_checks"]
 
@@ -71,8 +63,8 @@ def check_optimal_frontier(points=101, tol=1e-6,
     frontier = frontier_fn or schemes.optimal_frontier
     worst = 0.0
     for gamma in np.linspace(0.0, 1.0, points):
-        ins = make_optimal_instrument(OptimalFamilyParams(float(gamma)))
-        d = measurement_error(povm_of(ins))
+        povm, ins, _ = schemes.scheme_point("optimal", float(gamma))
+        d = measurement_error(povm)
         dd = disturbance(ins, MeasureKind.WORST_TRACE)
         worst = max(worst, abs(dd - frontier(min(d, 1.0))))
     return CheckResult("frontier-optimal", worst < tol, worst, tol,
@@ -83,11 +75,9 @@ def check_cloner_curve(points=101, tol=1e-6) -> CheckResult:
     """Cloner closed forms match the exact suprema on the induced pair."""
     worst = 0.0
     for a2 in np.linspace(0.0, 1.0, points):
-        p = schemes.ClonerParams.from_a2(float(a2))
-        pt = schemes.cloner_tradeoff_point(p)
-        d_num = measurement_error(schemes.cloner_induced_povm(p))
-        dd_num = disturbance(schemes.cloner_system_channel_spec(p),
-                             MeasureKind.WORST_TRACE)
+        povm, channel, pt = schemes.scheme_point("cloner", float(a2))
+        d_num = measurement_error(povm)
+        dd_num = disturbance(channel, MeasureKind.WORST_TRACE)
         worst = max(worst, abs(d_num - pt.delta), abs(dd_num - pt.Delta),
                     abs(dd_num - schemes.cloner_tradeoff_curve(min(d_num, 1.0))))
     return CheckResult("curve-cloner", worst < tol, worst, tol,
@@ -99,12 +89,10 @@ def check_swap_line(points=101, tol=1e-6) -> CheckResult:
     worst = 0.0
     closed_worst = 0.0
     for t in np.linspace(0.0, 0.5 * np.pi, points):
-        p = schemes.SwapParams(float(t))
-        pt = schemes.swap_tradeoff_point(p)
+        povm, channel, pt = schemes.scheme_point("swap", float(t))
         closed_worst = max(closed_worst, abs(pt.delta + pt.Delta - 0.5))
-        d_num = measurement_error(schemes.swap_induced_povm(p))
-        dd_num = disturbance(schemes.swap_system_channel_spec(p),
-                             MeasureKind.WORST_TRACE)
+        d_num = measurement_error(povm)
+        dd_num = disturbance(channel, MeasureKind.WORST_TRACE)
         worst = max(worst, abs(d_num + dd_num - 0.5),
                     abs(d_num - pt.delta), abs(dd_num - pt.Delta))
     worst = max(worst, closed_worst)
@@ -122,9 +110,8 @@ def check_dominance(margin=1e-4, frontier_fn=None) -> CheckResult:
     # frontier essentially exactly.
     tight_worst = 0.0
     for gamma in np.linspace(0.0, 1.0, 101):
-        delta = 0.5 * (1.0 - gamma)
-        Delta = 0.5 * (1.0 - np.sqrt(1.0 - gamma**2))
-        tight_worst = max(tight_worst, abs(Delta - frontier(delta)))
+        pt = schemes.scheme_point("optimal", float(gamma))[2]
+        tight_worst = max(tight_worst, abs(pt.Delta - frontier(pt.delta)))
     tight_ok = tight_worst < 1e-12
 
     grid = np.round(np.arange(0.01, 0.495, 0.01), 10)
@@ -151,9 +138,9 @@ def check_dominance(margin=1e-4, frontier_fn=None) -> CheckResult:
 def check_no_go(n=1000, seed=20260809, slack=1e-7, frontier_fn=None) -> CheckResult:
     """Random diagonal instruments never beat the frontier.
 
-    delta is evaluated exactly and Delta with the exact
-    diagonal closed form, so the check covers the full family including
-    phases.
+    Both delta and Delta are the exact closed forms of
+    :func:`~qtradeoff.schemes.diagonal_tradeoff_point`, so the check
+    covers the full family including phases.
     """
     frontier = frontier_fn or schemes.optimal_frontier
     rng = np.random.default_rng(seed)
@@ -163,10 +150,8 @@ def check_no_go(n=1000, seed=20260809, slack=1e-7, frontier_fn=None) -> CheckRes
             b1=float(rng.uniform()), b2=float(rng.uniform()),
             beta1=float(rng.uniform(0.0, 2.0 * np.pi)),
             beta2=float(rng.uniform(0.0, 2.0 * np.pi)))
-        ins = make_diagonal_instrument(p)
-        delta = measurement_error(povm_of(ins))
-        Delta = diagonal_channel_disturbance_exact(ins)
-        worst = max(worst, frontier(min(delta, 1.0)) - Delta)
+        pt = schemes.diagonal_tradeoff_point(p)
+        worst = max(worst, frontier(min(pt.delta, 1.0)) - pt.Delta)
     return CheckResult("no-go-sampling", worst <= slack, max(worst, 0.0),
                        slack, f"{n} random diagonal instruments")
 
@@ -176,7 +161,7 @@ def check_diamond_equality(points=11, tol=1e-4) -> CheckResult:
     optimal family, and so does its certified upper bound."""
     worst = 0.0
     for gamma in np.linspace(0.0, 1.0, points):
-        ins = make_optimal_instrument(OptimalFamilyParams(float(gamma)))
+        ins = schemes.scheme_point("optimal", float(gamma))[1]
         d_tr = disturbance(ins, MeasureKind.WORST_TRACE)
         est = disturbance_estimate(ins, MeasureKind.DIAMOND)
         if est.value < d_tr - 1e-12:
@@ -187,14 +172,96 @@ def check_diamond_equality(points=11, tol=1e-4) -> CheckResult:
                        f"{points} optimal-family points")
 
 
+def _random_unitary(rng, dim=2):
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_povm(rng):
+    u = _random_unitary(rng)
+    e1 = u @ np.diag(rng.uniform(0.0, 1.0, size=2)) @ dag(u)
+    e1 = 0.5 * (e1 + dag(e1))
+    return Povm(e1, ID2 - e1)
+
+
+def _random_instrument(rng):
+    # Haar 4x4 unitary -> isometry C^2 -> C^2 (x) C^2 -> Kraus pair.
+    v = _random_unitary(rng, 4)[:, :2]
+    return validate_instrument(v[0:2, :], v[2:4, :])
+
+
+def _mix_povm(a: Povm, b: Povm, lam):
+    return Povm(lam * a.e1 + (1 - lam) * b.e1, lam * a.e2 + (1 - lam) * b.e2)
+
+
+# Each axiom with the largest violation it may show.
+_AXIOM_TOLS = {
+    "delta-convexity": 1e-8,
+    "delta-permutation-invariance": 1e-8,
+    "delta-diagonal-unitary-invariance": 1e-8,
+    "Delta-convexity": 1e-6,
+    "Delta-basis-independence": 1e-6,
+}
+
+
 def check_axioms(trials=200, seed=4242, tol=1e-6) -> CheckResult:
-    """Convexity and invariance properties of both measures."""
+    """Convexity and invariance properties of both measures, with the
+    largest violation of each axiom over ``trials`` random trials in the
+    detail.  Passes when every axiom is within its own bound and all are
+    within ``tol``.
+
+    Per trial: convexity of delta under POVM mixing; invariance of delta
+    under conjugation by the two-element permutation and by a random
+    diagonal unitary; convexity of Delta under channel mixing; invariance
+    of Delta under a random change of basis.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    report = check_measure_axioms(trials, rng)
-    worst = max(e.worst for e in report.entries)
-    detail = "; ".join(f"{e.name}={e.worst:.1e}" for e in report.entries)
-    return CheckResult("measure-axioms", report.all_passed and worst < tol,
-                       worst, tol, detail)
+    worst = {name: 0.0 for name in _AXIOM_TOLS}
+
+    for _ in range(trials):
+        m, mp = _random_povm(rng), _random_povm(rng)
+        lam = float(rng.uniform())
+
+        d_m = measurement_error(m)
+        d_mp = measurement_error(mp)
+        d_mix = measurement_error(_mix_povm(m, mp, lam))
+        worst["delta-convexity"] = max(
+            worst["delta-convexity"], d_mix - (lam * d_m + (1 - lam) * d_mp))
+
+        # Permutation pi = (1 2): elements swapped and conjugated by sigma_x.
+        perm = Povm(SIGMA_X @ m.e2 @ SIGMA_X, SIGMA_X @ m.e1 @ SIGMA_X)
+        worst["delta-permutation-invariance"] = max(
+            worst["delta-permutation-invariance"],
+            abs(measurement_error(perm) - d_m))
+
+        chi = float(rng.uniform(0.0, 2.0 * np.pi))
+        du = np.diag([1.0, np.exp(1j * chi)])
+        rotated = Povm(dag(du) @ m.e1 @ du, dag(du) @ m.e2 @ du)
+        worst["delta-diagonal-unitary-invariance"] = max(
+            worst["delta-diagonal-unitary-invariance"],
+            abs(measurement_error(rotated) - d_m))
+
+        fa = partial(apply_channel, _random_instrument(rng))
+        fb = partial(apply_channel, _random_instrument(rng))
+        da = disturbance(fa)
+        db = disturbance(fb)
+        dmix = disturbance(lambda rho: lam * fa(rho) + (1 - lam) * fb(rho))
+        worst["Delta-convexity"] = max(
+            worst["Delta-convexity"], dmix - (lam * da + (1 - lam) * db))
+
+        u = _random_unitary(rng)
+        ud = dag(u)
+        drot = disturbance(lambda rho: u @ fa(ud @ rho @ u) @ ud)
+        worst["Delta-basis-independence"] = max(
+            worst["Delta-basis-independence"], abs(drot - da))
+
+    detail = "; ".join(f"{name}={w:.1e}" for name, w in worst.items())
+    passed = all(worst[name] <= t for name, t in _AXIOM_TOLS.items())
+    top = max(worst.values())
+    return CheckResult("measure-axioms", passed and top < tol, top, tol, detail)
 
 
 def _setting_for_gamma(gamma):
@@ -247,8 +314,8 @@ def check_extremal_states(tol=1e-14) -> CheckResult:
 
     worst = 0.0
     for gamma in (0.2, 0.5, 0.8):
-        ins = make_optimal_instrument(OptimalFamilyParams(gamma))
-        e1 = povm_of(ins).e1
+        povm, ins, _ = schemes.scheme_point("optimal", gamma)
+        e1 = povm.e1
 
         def err_integrand(theta):
             rho = linear_pol_state(theta)

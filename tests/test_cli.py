@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -79,6 +80,38 @@ def test_sweep_closed_matches_numeric(tmp_path, capsys):
         if row["Delta_closed"]:
             assert float(row["Delta_numeric"]) == pytest.approx(
                 float(row["Delta_closed"]), abs=1e-6)
+
+
+# sha256 of `sweep --steps 11` per scheme and kind, recorded before the
+# scheme construction and closed forms moved into `schemes.scheme_point`.
+SWEEP_11_SHA256 = {
+    ("optimal", "worst-case-trace-norm"): "62022a90c28c6c76a10d2450caf3d269b0ddf93f97c026be8234306e0351698e",
+    ("optimal", "worst-case-hilbert-schmidt"): "68ac06dbc9a976ee9d3fd36f04ceb6e1bda026ee59fe9907cb576889a9cb3be2",
+    ("optimal", "worst-case-infidelity"): "63c283badcd9992cefe3fb57378b58d7c4d9ec4ee3da1fafcd29c0e57319973d",
+    ("optimal", "state-averaged-trace-norm"): "152a053dee266c3193f70f4b20eceb1c7f5226f0762a88f16a40c781e16af644",
+    ("diagonal", "worst-case-trace-norm"): "899bf10ce87141b84b7763645ba2665c9963410974189cf240419628df5763ca",
+    ("diagonal", "worst-case-hilbert-schmidt"): "fa5c9cc16a788d491ddccfe7151d8746691c55e108443962137921ae0b0e032d",
+    ("diagonal", "worst-case-infidelity"): "ef428f89c74793f477d94277ebbd2ebc0a479dbd2485790231c705605ba17311",
+    ("diagonal", "state-averaged-trace-norm"): "d5743123fb26c267f999859044373feb5e36c72ce3c8af21007650a7561133fd",
+    ("cloner", "worst-case-trace-norm"): "d29afec199cdd5d061af25987474c6bdfc783f730f51c395b09ca819eda6b967",
+    ("cloner", "worst-case-hilbert-schmidt"): "ebf0e9de7d252a54f241930762c29dd93985ad770313344fb9bcd3cfdcbad8ee",
+    ("cloner", "worst-case-infidelity"): "19ff75cac9f5e4b0e7e98c04c47e55decf5bae5b04b35627c8f00841b8417980",
+    ("cloner", "state-averaged-trace-norm"): "7820b8ba5a9108024b537d660e80287f5a6f814f704b96c4f755a35a16196b4b",
+    ("swap", "worst-case-trace-norm"): "829675fbcfa9f147eea940052ead9d8e2ccf5f6fb5dac86a7bfe36728ef194b5",
+    ("swap", "worst-case-hilbert-schmidt"): "b8be83bf1625c98e8c4c74d2d4520c5ba2c0466e210f9786e9708f76c4ac4581",
+    ("swap", "worst-case-infidelity"): "5814ec300435c2ff25dfe0d93a7d9f62f030ddbae9fb61f7091d5266b6cd3f2f",
+    ("swap", "state-averaged-trace-norm"): "214689cbda1a5996f43ee5438ad26ab2321d585deac7309ab12fc633a5138cc6",
+}
+
+
+@pytest.mark.parametrize("scheme, kind", sorted(SWEEP_11_SHA256))
+def test_sweep_bytes_are_pinned(tmp_path, capsys, scheme, kind):
+    out = tmp_path / "sweep.csv"
+    code, _ = run_cli(capsys, "sweep", "--scheme", scheme, "--steps", "11",
+                      "--kind", kind, "--out", str(out))
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SWEEP_11_SHA256[scheme, kind]
 
 
 def test_sweep_csv_number_format(tmp_path, capsys):
@@ -292,6 +325,21 @@ def test_experiment_rejects_unusable_numbers(tmp_path, capsys, caplog,
                       "--out", str(tmp_path / "x"))
     assert code == 2
     assert field in caplog.text
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_rejects_noise_that_overflows_a_count(tmp_path, capsys,
+                                                       caplog):
+    # A finite but huge noise takes an intensity count beyond float range;
+    # that is an input error naming the field, not a traceback.
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(experiment_config(
+        shots_per_basis=1000, intensity_noise=1e308)))
+    code, out = run_cli(capsys, "experiment", "--config", str(f),
+                        "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert out == ""
+    assert "config.intensity_noise" in caplog.text
     assert not (tmp_path / "x").exists()
 
 

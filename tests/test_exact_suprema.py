@@ -39,15 +39,14 @@ from qtradeoff.measures import (
     _bloch_affine,
     _channel_map,
     _dual_bound,
-    _random_instrument,
-    _random_povm,
-    _random_unitary,
     _worst_trace,
     disturbance_estimate,
     measurement_error_estimate,
 )
 from qtradeoff.qmath import SIGMA_X, SIGMA_Y, SIGMA_Z, dag
 from qtradeoff.schemes import MarginalChannelSpec
+from qtradeoff.verification import (
+    _random_instrument, _random_povm, _random_unitary)
 from qtradeoff.states import bloch_to_density, pure_state
 from qtradeoff.supopt import SupremumStrategy
 

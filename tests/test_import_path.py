@@ -20,10 +20,11 @@ import qtradeoff
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qtradeoff.__file__)))
 
-# `import qtradeoff`; every non-diamond kind of every sweep scheme, `eval`,
-# and `experiment` on a config whose target fit takes the rim branch
-# (amplitude 1); then the diamond kind through `eval` and `sweep`.  None
-# may load any scipy module.
+# `import qtradeoff`, which loads neither the checks of `verify` nor the
+# CLI (both count towards the start-up time of every importer); every
+# non-diamond kind of every sweep scheme, `eval`, and `experiment` on a
+# config whose target fit takes the rim branch (amplitude 1); then the
+# diamond kind through `eval` and `sweep`.  None may load any scipy module.
 GUARD = """
 import json, sys
 
@@ -32,6 +33,8 @@ def loaded():
 
 import qtradeoff
 assert not loaded(), loaded()
+for name in ("qtradeoff.verification", "qtradeoff.cli"):
+    assert name not in sys.modules, name
 from qtradeoff.cli import main
 
 def run(*argv):

@@ -13,10 +13,7 @@ from qtradeoff.measures import (
     HS_TO_TRACE_NORM_SCALE,
     MeasureKind,
     UnknownKind,
-    check_measure_axioms,
     diagonal_channel_disturbance_exact,
-    diagonal_disturbance_closed_form,
-    diagonal_measurement_error_closed_form,
     disturbance,
     measurement_error,
     tradeoff_of,
@@ -101,23 +98,6 @@ def test_error_exact_matches_numeric_on_random_povms():
         assert measurement_error(povm) == pytest.approx(numeric, abs=1e-8)
 
 
-def test_diagonal_error_closed_form_on_symmetric_locus():
-    for b in (0.0, 0.3, np.sqrt(0.5), 0.9):
-        p = DiagonalFamilyParams(b, b)
-        closed = diagonal_measurement_error_closed_form(p)
-        numeric = measurement_error(povm_of(make_diagonal_instrument(p)))
-        assert closed == pytest.approx(b * b, abs=1e-15)
-        assert numeric == pytest.approx(closed, abs=1e-8)
-
-
-def test_diagonal_error_closed_form_is_lower_bound_off_locus():
-    p = DiagonalFamilyParams(0.9, 0.1)
-    closed = diagonal_measurement_error_closed_form(p)
-    exact = measurement_error(povm_of(make_diagonal_instrument(p)))
-    assert exact == pytest.approx(max(p.b1**2, p.b2**2), abs=1e-12)
-    assert closed <= exact + 1e-12
-
-
 # ---------------------------------------------------------------------------
 # disturbance
 # ---------------------------------------------------------------------------
@@ -138,25 +118,6 @@ def test_disturbance_matches_brute_force_oracle():
     num = disturbance(ins, MeasureKind.WORST_TRACE)
     assert num == pytest.approx(oracle_disturbance_trace(ins), abs=1e-6)
     assert num == pytest.approx(diagonal_channel_disturbance_exact(ins), abs=1e-9)
-
-
-def test_diagonal_disturbance_closed_form_examples():
-    b = np.sqrt(0.5)
-    assert diagonal_disturbance_closed_form(DiagonalFamilyParams(b, b)) == pytest.approx(0.0, abs=1e-15)
-    assert diagonal_disturbance_closed_form(DiagonalFamilyParams(0.0, 0.0)) == pytest.approx(0.5)
-    val = diagonal_disturbance_closed_form(DiagonalFamilyParams(0.5, 0.5))
-    assert val == pytest.approx(0.5 * (1.0 - np.sqrt(3.0) / 2.0), abs=1e-12)
-    assert val == pytest.approx(optimal_frontier(0.25), abs=1e-12)
-    assert val == pytest.approx(FRONTIER_QUARTER, abs=1e-12)
-
-
-def test_diagonal_closed_form_agrees_with_numeric():
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        p = DiagonalFamilyParams(*rng.uniform(0, 1, 2), *rng.uniform(0, 2 * np.pi, 2))
-        ins = make_diagonal_instrument(p)
-        assert disturbance(ins, MeasureKind.WORST_TRACE) == pytest.approx(
-            diagonal_disturbance_closed_form(p), abs=1e-8)
 
 
 def test_diamond_equals_trace_norm_on_optimal_family():
@@ -283,27 +244,12 @@ def test_linear_polarization_circle_attains_suprema():
 
 
 # ---------------------------------------------------------------------------
-# axioms
+# axioms (the sampled checker is tested in test_verification.py)
 # ---------------------------------------------------------------------------
-
-def test_axiom_checker_passes_and_reports():
-    rng = np.random.default_rng(4)
-    report = check_measure_axioms(10, rng)
-    assert report.all_passed
-    assert report.worst_of("delta-convexity") < 1e-8
-    assert report.worst_of("Delta-basis-independence") < 1e-6
-    with pytest.raises(KeyError):
-        report.worst_of("nope")
-
-
-def test_axiom_checker_rejects_zero_samples():
-    with pytest.raises(ValueError):
-        check_measure_axioms(0, np.random.default_rng(0))
-
 
 def test_convexity_edge_mixtures_are_equalities():
     rng = np.random.default_rng(5)
-    from qtradeoff.measures import _mix_povm, _random_povm
+    from qtradeoff.verification import _mix_povm, _random_povm
 
     for _ in range(10):
         m, mp = _random_povm(rng), _random_povm(rng)

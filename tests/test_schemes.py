@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qtradeoff.instruments import Povm
+from qtradeoff.instruments import (
+    DiagonalFamilyParams,
+    Instrument,
+    OptimalFamilyParams,
+    Povm,
+    make_diagonal_instrument,
+    make_optimal_instrument,
+    povm_of,
+)
 from qtradeoff.measures import (
     TARGET_POVM,
     MeasureKind,
@@ -17,7 +25,10 @@ from qtradeoff.schemes import (
     cloner_system_channel_spec,
     cloner_tradeoff_curve,
     cloner_tradeoff_point,
+    diagonal_tradeoff_point,
     optimal_frontier,
+    optimal_tradeoff_point,
+    scheme_point,
     swap_induced_povm,
     swap_system_channel_spec,
     swap_tradeoff_curve,
@@ -309,6 +320,82 @@ def test_swap_pure_ancilla_same_error_more_disturbance():
     dist_pure = disturbance(apply_s, MeasureKind.WORST_TRACE)
     dist_mixed = swap_tradeoff_point(p).Delta
     assert dist_pure > dist_mixed + 1e-3
+
+
+# ---------------------------------------------------------------------------
+# optimal and diagonal families
+# ---------------------------------------------------------------------------
+
+def test_diagonal_error_closed_form_on_symmetric_locus():
+    for b in (0.0, 0.3, np.sqrt(0.5), 0.9):
+        p = DiagonalFamilyParams(b, b)
+        closed = diagonal_tradeoff_point(p).delta
+        numeric = measurement_error(povm_of(make_diagonal_instrument(p)))
+        assert closed == pytest.approx(b * b, abs=1e-15)
+        assert numeric == pytest.approx(closed, abs=1e-8)
+
+
+def test_diagonal_tradeoff_point_matches_exact_measures():
+    # Off the symmetric locus too: delta = max(b1^2, b2^2) is the exact
+    # supremum, not a lower bound.
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        p = DiagonalFamilyParams(*rng.uniform(0, 1, 2), *rng.uniform(0, 2 * np.pi, 2))
+        ins = make_diagonal_instrument(p)
+        pt = diagonal_tradeoff_point(p)
+        assert pt.delta == pytest.approx(measurement_error(povm_of(ins)), abs=1e-12)
+        assert pt.Delta == pytest.approx(
+            disturbance(ins, MeasureKind.WORST_TRACE), abs=1e-12)
+    pt = diagonal_tradeoff_point(DiagonalFamilyParams(0.9, 0.1))
+    assert pt.delta == pytest.approx(0.81, abs=1e-15)
+    assert pt.tag == {"scheme": "diagonal", "b1": 0.9, "b2": 0.1,
+                      "beta1": 0.0, "beta2": 0.0}
+
+
+def test_diagonal_disturbance_closed_form_examples():
+    b = np.sqrt(0.5)
+    assert diagonal_tradeoff_point(DiagonalFamilyParams(b, b)).Delta == pytest.approx(0.0, abs=1e-15)
+    assert diagonal_tradeoff_point(DiagonalFamilyParams(0.0, 0.0)).Delta == pytest.approx(0.5)
+    val = diagonal_tradeoff_point(DiagonalFamilyParams(0.5, 0.5)).Delta
+    assert val == pytest.approx(0.5 * (1.0 - np.sqrt(3.0) / 2.0), abs=1e-12)
+    assert val == pytest.approx(optimal_frontier(0.25), abs=1e-12)
+    assert val == pytest.approx(0.5 * (np.sqrt(0.75) - 0.5) ** 2, abs=1e-12)
+
+
+def test_optimal_tradeoff_point_matches_exact_measures():
+    rng = np.random.default_rng(2)
+    for gamma, beta in [(0.0, 0.0), (1.0, 0.0), (0.5, 0.0),
+                        *rng.uniform((0.0, -np.pi), (1.0, np.pi), (50, 2))]:
+        p = OptimalFamilyParams(float(gamma), float(beta))
+        ins = make_optimal_instrument(p)
+        pt = optimal_tradeoff_point(p)
+        assert pt.delta == pytest.approx(measurement_error(povm_of(ins)), abs=1e-12)
+        assert pt.Delta == pytest.approx(
+            disturbance(ins, MeasureKind.WORST_TRACE), abs=1e-12)
+        if beta == 0.0:
+            assert pt.Delta == pytest.approx(optimal_frontier(pt.delta), abs=1e-12)
+    assert optimal_tradeoff_point(OptimalFamilyParams(0.5, 0.2)).tag == {
+        "scheme": "optimal", "gamma": 0.5, "beta": 0.2}
+
+
+@pytest.mark.parametrize("scheme, value, point", [
+    ("optimal", 0.5, lambda v: optimal_tradeoff_point(OptimalFamilyParams(v))),
+    ("diagonal", 0.3, lambda v: diagonal_tradeoff_point(DiagonalFamilyParams(v, v))),
+    ("cloner", 0.6, lambda v: cloner_tradeoff_point(ClonerParams.from_a2(v))),
+    ("swap", 0.7, lambda v: swap_tradeoff_point(SwapParams(v))),
+], ids=["optimal", "diagonal", "cloner", "swap"])
+def test_scheme_point_pairs_the_closed_form_with_its_measures(scheme, value, point):
+    povm, channel, pt = scheme_point(scheme, value)
+    assert isinstance(povm, Povm)
+    assert isinstance(channel, (Instrument, MarginalChannelSpec))
+    assert pt == point(value)
+    assert measurement_error(povm) == pytest.approx(pt.delta, abs=1e-12)
+    assert disturbance(channel) == pytest.approx(pt.Delta, abs=1e-12)
+
+
+def test_scheme_point_rejects_unknown_scheme():
+    with pytest.raises(ValueError, match="unknown scheme 'clone'"):
+        scheme_point("clone", 0.5)
 
 
 # ---------------------------------------------------------------------------

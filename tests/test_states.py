@@ -106,3 +106,13 @@ def test_validate_density_rejections():
         validate_density(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+
+
+def test_validate_density_applies_its_own_hermiticity_rule():
+    # ||rho - rho^dag|| = 9.9e-11 is within the density tolerance of 1e-10
+    # but not within herm_eigvals' relative one (7.1e-11); positivity is
+    # tested on the Hermitian part, so only the density's rule applies.
+    rho = np.array([[0.5, 0.0], [7e-11, 0.5]])
+    np.testing.assert_array_equal(validate_density(rho), rho)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_density(np.array([[0.5, 0.0], [2e-10, 0.5]]))
