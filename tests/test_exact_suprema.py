@@ -45,10 +45,10 @@ from qtradeoff.measures import (
 )
 from qtradeoff.qmath import SIGMA_X, SIGMA_Y, SIGMA_Z, dag
 from qtradeoff.schemes import MarginalChannelSpec
-from qtradeoff.verification import (
-    _random_instrument, _random_povm, _random_unitary)
 from qtradeoff.states import bloch_to_density, pure_state
 from qtradeoff.supopt import SupremumStrategy
+from qtradeoff.verification import (
+    _random_instrument, _random_povm, _random_unitary)
 
 DENSE = SupremumStrategy(coarse_grid_points=48, refine_iterations=200,
                          tolerance=1e-12, multistarts=8)
