@@ -19,7 +19,7 @@ from qtradeoff.measures import (
     tradeoff_of,
 )
 from qtradeoff.qmath import ID2, SIGMA_X, dag
-from qtradeoff.schemes import optimal_frontier
+from qtradeoff.schemes import diagonal_tradeoff_point, optimal_frontier
 from qtradeoff.supopt import SupremumStrategy
 
 FAST = SupremumStrategy(coarse_grid_points=24, refine_iterations=60,
@@ -98,6 +98,24 @@ def test_error_exact_matches_numeric_on_random_povms():
         assert measurement_error(povm) == pytest.approx(numeric, abs=1e-8)
 
 
+def test_diagonal_error_closed_form_is_lower_bound_off_locus():
+    # Off the symmetric locus the closed form max(b1^2, b2^2) is still the
+    # exact supremum, so the lower bound holds with equality.
+    p = DiagonalFamilyParams(0.9, 0.1)
+    pt = diagonal_tradeoff_point(p)
+    exact = measurement_error(povm_of(make_diagonal_instrument(p)))
+    assert exact == pytest.approx(max(p.b1**2, p.b2**2), abs=1e-12)
+    assert pt.delta <= exact + 1e-12
+    assert pt.delta == pytest.approx(0.81, abs=1e-15)
+    assert pt.tag == {"scheme": "diagonal", "b1": 0.9, "b2": 0.1,
+                      "beta1": 0.0, "beta2": 0.0}
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        p = DiagonalFamilyParams(*rng.uniform(0, 1, 2), *rng.uniform(0, 2 * np.pi, 2))
+        exact = measurement_error(povm_of(make_diagonal_instrument(p)))
+        assert diagonal_tradeoff_point(p).delta == pytest.approx(exact, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # disturbance
 # ---------------------------------------------------------------------------
@@ -118,6 +136,15 @@ def test_disturbance_matches_brute_force_oracle():
     num = disturbance(ins, MeasureKind.WORST_TRACE)
     assert num == pytest.approx(oracle_disturbance_trace(ins), abs=1e-6)
     assert num == pytest.approx(diagonal_channel_disturbance_exact(ins), abs=1e-9)
+
+
+def test_diagonal_closed_form_agrees_with_numeric():
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        p = DiagonalFamilyParams(*rng.uniform(0, 1, 2), *rng.uniform(0, 2 * np.pi, 2))
+        ins = make_diagonal_instrument(p)
+        assert disturbance(ins, MeasureKind.WORST_TRACE) == pytest.approx(
+            diagonal_tradeoff_point(p).Delta, abs=1e-12)
 
 
 def test_diamond_equals_trace_norm_on_optimal_family():

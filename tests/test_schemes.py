@@ -335,23 +335,6 @@ def test_diagonal_error_closed_form_on_symmetric_locus():
         assert numeric == pytest.approx(closed, abs=1e-8)
 
 
-def test_diagonal_tradeoff_point_matches_exact_measures():
-    # Off the symmetric locus too: delta = max(b1^2, b2^2) is the exact
-    # supremum, not a lower bound.
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        p = DiagonalFamilyParams(*rng.uniform(0, 1, 2), *rng.uniform(0, 2 * np.pi, 2))
-        ins = make_diagonal_instrument(p)
-        pt = diagonal_tradeoff_point(p)
-        assert pt.delta == pytest.approx(measurement_error(povm_of(ins)), abs=1e-12)
-        assert pt.Delta == pytest.approx(
-            disturbance(ins, MeasureKind.WORST_TRACE), abs=1e-12)
-    pt = diagonal_tradeoff_point(DiagonalFamilyParams(0.9, 0.1))
-    assert pt.delta == pytest.approx(0.81, abs=1e-15)
-    assert pt.tag == {"scheme": "diagonal", "b1": 0.9, "b2": 0.1,
-                      "beta1": 0.0, "beta2": 0.0}
-
-
 def test_diagonal_disturbance_closed_form_examples():
     b = np.sqrt(0.5)
     assert diagonal_tradeoff_point(DiagonalFamilyParams(b, b)).Delta == pytest.approx(0.0, abs=1e-15)
