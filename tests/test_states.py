@@ -106,6 +106,15 @@ def test_validate_density_rejections():
         validate_density(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         validate_density(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+    # The least eigenvalue may fall short of 0 by the tolerance 1e-10.
+    rho = np.diag([1.0 + 5e-11, -5e-11])
+    np.testing.assert_array_equal(validate_density(rho), rho)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        validate_density(np.diag([1.0 + 2e-10, -2e-10]))
+    with pytest.raises(ValueError, match="2x2"):
+        validate_density(np.eye(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_validate_density_applies_its_own_hermiticity_rule():
