@@ -19,9 +19,7 @@ from .instruments import (
     instrument_from_descriptor,
     make_diagonal_instrument,
     make_optimal_instrument,
-    outcome_probabilities,
     povm_of,
-    validate_instrument,
 )
 from .measures import (
     MeasureKind,
@@ -29,15 +27,12 @@ from .measures import (
     UnknownKind,
     disturbance,
     measurement_error,
-    tradeoff_of,
 )
 from .qmath import (
     ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    NotHermitian,
-    herm_eigvals,
 )
 from .schemes import (
     ClonerParams,

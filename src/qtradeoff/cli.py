@@ -72,6 +72,20 @@ def _sweep_point(scheme, value, kind):
             disturbance_estimate(channel, kind).value)
 
 
+def _read_json(path):
+    """The JSON value in a file.  ValueError, with the reason, if the file
+    cannot be read or decoded, or if json cannot parse its text (too
+    deeply nested, or an integer past Python's digit limit, included)."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         log.error("sweep: --steps must be >= 2")
@@ -83,7 +97,11 @@ def cmd_sweep(args) -> int:
         return EXIT_INPUT
 
     top = 0.5 * np.pi if args.scheme == "swap" else 1.0
-    values = np.linspace(0.0, top, args.steps)
+    try:
+        values = np.linspace(0.0, top, args.steps)
+    except (ValueError, MemoryError) as exc:
+        log.error("sweep: --steps %d is too large: %s", args.steps, exc)
+        return EXIT_INPUT
     log.info("sweep scheme=%s steps=%d kind=%s", args.scheme, args.steps,
              kind.value)
 
@@ -103,16 +121,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        desc = json.loads(Path(args.instrument).read_text())
-    except OSError as exc:
-        log.error("eval: cannot read %s: %s", args.instrument, exc)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        log.error("eval: invalid JSON in %s: %s", args.instrument, exc)
-        return EXIT_INPUT
-    try:
         kind = MeasureKind(args.kind)
-        ins = instrument_from_descriptor(desc)
+        ins = instrument_from_descriptor(_read_json(args.instrument))
     except ValueError as exc:
         log.error("eval: %s", exc)
         return EXIT_INPUT
@@ -146,15 +156,7 @@ def cmd_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     try:
-        obj = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        log.error("experiment: cannot read %s: %s", args.config, exc)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        log.error("experiment: invalid JSON in %s: %s", args.config, exc)
-        return EXIT_INPUT
-    try:
-        cfg = config_from_dict(obj)
+        cfg = config_from_dict(_read_json(args.config))
     except ValueError as exc:
         log.error("experiment: %s", exc)
         return EXIT_INPUT

@@ -60,8 +60,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .instruments import (Instrument, _json_number, povm_of,
-                          validate_instrument)
+from .instruments import Instrument, _json_number, povm_of
 from .measures import (
     _sphere_argmax,
     diagonal_channel_disturbance_exact,
@@ -271,15 +270,12 @@ def instrument_from_setting(s: InterferometerSetting) -> Instrument:
     operator (for gamma >= 0).
     """
     phi0 = np.array([np.cos(s.alpha), np.exp(1j * s.phi) * np.sin(s.alpha)])
-    gamma, beta = gamma_beta_from_setting(s)
     kraus = []
     for port in (1, 2):
         bra = _PORTS[port]
         k = np.einsum("r,prqs,s->pq", bra.conj(), _INTERACTION, phi0)
         kraus.append(k)
-    label = {"family": "interferometer", "alpha": s.alpha, "phi": s.phi,
-             "gamma": gamma, "beta": beta}
-    return validate_instrument(kraus[0], kraus[1], label)
+    return Instrument(kraus[0], kraus[1])
 
 
 def analytic_tradeoff_of_setting(s: InterferometerSetting):
@@ -343,14 +339,13 @@ def _words(n):
 def _pcg64_states(seed, indices, key):
     """PCG64 ``(state, inc)`` of ``SeedSequence(entropy=seed,
     spawn_key=(i, key))`` for each ``i`` of ``indices`` (integers below
-    2**64), as numpy computes them.
+    2**32; OverflowError otherwise), as numpy computes them.
 
     The run entropy (the seed's words padded with zeros to the four-word
     pool) is the same for every cell, so it is mixed into the pool once,
-    in Python ints.  The spawn-key words follow in arrays, one pass for
-    the indices of one word and one for those of two; then
-    ``generate_state(4, uint64)`` and, in Python ints, PCG64's
-    ``srandom`` step.
+    in Python ints.  The spawn-key words follow in one array pass over
+    the indices; then ``generate_state(4, uint64)`` and, in Python ints,
+    PCG64's ``srandom`` step.
     """
     run = _words(seed)
     run += [0] * (4 - len(run))
@@ -369,19 +364,14 @@ def _pcg64_states(seed, indices, key):
     out_consts = np.array(list(islice(_hash_constants(_INIT_B, _MULT_B), 8)),
                           dtype=np.uint64)
 
-    indices = np.asarray(indices, dtype=np.uint64)
-    wide = indices > _MASK32
-    seeded = np.empty((len(indices), 4), dtype=np.uint64)
-    for two_words in (False, True):
-        rows = wide == two_words
-        if rows.any():
-            idx = indices[rows, None]
-            words = [idx & _MASK32] + [idx >> 32] * two_words + _words(key)
-            p = np.array(pool, dtype=np.uint64)
-            for w, c in zip(words, spawn_consts):
-                p = _mix(p, _hash(w, *c.T))
-            out = _hash(np.tile(p, 2), *out_consts.T)
-            seeded[rows] = out[:, 0::2] | out[:, 1::2] << 32
+    # One spawn-key word per index: uint32 rejects an index of two words
+    # rather than hash only its low word.
+    idx = np.asarray(indices, dtype=np.uint32).astype(np.uint64)[:, None]
+    p = np.array(pool, dtype=np.uint64)
+    for w, c in zip([idx] + _words(key), spawn_consts):
+        p = _mix(p, _hash(w, *c.T))
+    out = _hash(np.tile(p, 2), *out_consts.T)
+    seeded = out[:, 0::2] | out[:, 1::2] << 32
     states = []
     for s_hi, s_lo, i_hi, i_lo in seeded.tolist():
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128

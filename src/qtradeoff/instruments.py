@@ -16,8 +16,8 @@ K1^dag K1 + K2^dag K2 = 1.  Two parametric families are provided:
 
 Constructors build the Kraus entries directly from the closed-form
 parametrization, so normalization holds to rounding error by
-construction.  ``validate_instrument`` is the only constructor for
-arbitrary Kraus pairs.
+construction.  ``Instrument(k1, k2)`` takes an arbitrary Kraus pair and
+checks its normalization.
 
 Instances are frozen and their arrays are marked read-only; everything is
 safe for concurrent use.
@@ -26,12 +26,11 @@ safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .qmath import ID2, _as_matrix, dag
-from .states import validate_density
 
 __all__ = [
     "ParamOutOfRange",
@@ -44,8 +43,6 @@ __all__ = [
     "make_optimal_instrument",
     "povm_of",
     "apply_channel",
-    "outcome_probabilities",
-    "validate_instrument",
     "instrument_from_descriptor",
 ]
 
@@ -68,11 +65,11 @@ def _readonly(a):
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
-    """Two-outcome instrument given by a normalized Kraus pair."""
+    """Two-outcome instrument given by a normalized Kraus pair (raises
+    :class:`NotNormalized` with the measured deviation otherwise)."""
 
     k1: np.ndarray
     k2: np.ndarray
-    label: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         k1 = _readonly(_as_matrix(self.k1, "k1"))
@@ -132,9 +129,7 @@ def make_diagonal_instrument(p: DiagonalFamilyParams) -> Instrument:
     """Instrument of the general diagonal family."""
     k1 = np.diag([np.sqrt(1.0 - p.b2**2), np.exp(1j * p.beta1) * p.b1])
     k2 = np.diag([p.b2, np.exp(1j * p.beta2) * np.sqrt(1.0 - p.b1**2)])
-    label = {"family": "diagonal", "b1": p.b1, "b2": p.b2,
-             "beta1": p.beta1, "beta2": p.beta2}
-    return Instrument(k1, k2, label)
+    return Instrument(k1, k2)
 
 
 def make_optimal_instrument(p: OptimalFamilyParams) -> Instrument:
@@ -150,8 +145,7 @@ def make_optimal_instrument(p: OptimalFamilyParams) -> Instrument:
     ph = np.exp(1j * p.beta)
     k1 = np.diag([hi, ph * lo])
     k2 = np.diag([ph * lo, hi])
-    label = {"family": "optimal", "gamma": p.gamma, "beta": p.beta}
-    return Instrument(k1, k2, label)
+    return Instrument(k1, k2)
 
 
 def povm_of(ins: Instrument) -> Povm:
@@ -163,25 +157,6 @@ def apply_channel(ins: Instrument, rho) -> np.ndarray:
     """Unselected state change: K1 rho K1^dag + K2 rho K2^dag."""
     rho = np.asarray(rho, dtype=complex)
     return ins.k1 @ rho @ dag(ins.k1) + ins.k2 @ rho @ dag(ins.k2)
-
-
-def outcome_probabilities(ins: Instrument, rho):
-    """Outcome distribution (p1, p2) with p_j = tr(E'_j rho)."""
-    rho = validate_density(rho)
-    e = povm_of(ins)
-    p1 = float(np.einsum("ij,ji->", e.e1, rho).real)
-    p2 = float(np.einsum("ij,ji->", e.e2, rho).real)
-    return p1, p2
-
-
-def validate_instrument(k1, k2, label=None) -> Instrument:
-    """Construct an Instrument from an arbitrary Kraus pair.
-
-    This is the only entry point for raw Kraus pairs; it raises
-    :class:`NotNormalized` with the measured deviation if the
-    normalization condition fails.
-    """
-    return Instrument(k1, k2, dict(label) if label else {})
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +225,7 @@ def instrument_from_descriptor(desc: dict) -> Instrument:
             raise ValueError("instrument: raw family requires fields k1 and k2")
         k1 = _descriptor_matrix(desc["k1"], "instrument.k1")
         k2 = _descriptor_matrix(desc["k2"], "instrument.k2")
-        return validate_instrument(k1, k2, {"family": "raw"})
+        return Instrument(k1, k2)
     raise ValueError(
         f"instrument.family: expected 'optimal', 'diagonal' or 'raw', got {family!r}"
     )

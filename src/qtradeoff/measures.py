@@ -14,8 +14,7 @@ trace-norm distance from the identity channel
 with alternatives: the diamond-norm distance (supremum over bipartite
 pure inputs with an idle ancilla), the worst-case Hilbert-Schmidt norm,
 the worst-case infidelity sup_rho (1 - F(rho, T(rho))^2), and the
-state-averaged trace norm (uniform surface measure over pure states by
-default, Bloch-ball volume optionally).
+state-averaged trace norm (uniform surface measure over pure states).
 
 Both delta and Delta are convex in rho, so all suprema are taken over
 pure states.  Every qubit channel acts on Bloch vectors as an affine map
@@ -40,15 +39,13 @@ and the sampled axiom checks in :mod:`qtradeoff.verification`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Mapping
 
 import numpy as np
 
-from .instruments import (
-    NORMALIZATION_TOL, Instrument, Povm, apply_channel, povm_of)
+from .instruments import NORMALIZATION_TOL, Instrument, Povm, apply_channel
 from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag
 from .supopt import ExtremumEstimate
 
@@ -63,7 +60,6 @@ __all__ = [
     "diagonal_channel_disturbance_exact",
     "disturbance",
     "disturbance_estimate",
-    "tradeoff_of",
 ]
 
 
@@ -92,11 +88,10 @@ HS_TO_TRACE_NORM_SCALE = float(np.sqrt(2.0))
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """A (delta, Delta) pair tagged with the parameters that produced it."""
+    """A (delta, Delta) pair."""
 
     delta: float
     Delta: float
-    tag: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if not (-1e-12 <= self.delta <= 1.0 + 1e-12):
@@ -286,12 +281,12 @@ def diagonal_channel_disturbance_exact(ins: Instrument) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _quadrature(domain):
-    # Points and weights (summing to 1) of the averaged kind.  Surface:
-    # Gauss-Legendre in theta with the sin(theta) weight times a uniform
-    # trapezoid in phi, spectrally accurate for the trigonometric
-    # integrands that arise here.  Ball: the same nodes on 32
-    # Gauss-Legendre shells with the r^2 volume weight.
+def _quadrature():
+    # Points and weights (summing to 1) of the averaged kind over the
+    # sphere: Gauss-Legendre in theta with the sin(theta) weight times a
+    # uniform trapezoid in phi, spectrally accurate for the trigonometric
+    # integrands that arise here.  Built on first use, so that importing
+    # the package stays cheap.
     x, w = np.polynomial.legendre.leggauss(48)
     thetas = 0.5 * np.pi * (x + 1.0)
     phis = np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False)
@@ -300,14 +295,6 @@ def _quadrature(domain):
                        np.cos(th)], axis=-1).reshape(-1, 3)
     weights = np.repeat(0.25 * np.pi * w * np.sin(thetas) / len(phis),
                         len(phis))
-    if domain == "ball":
-        r, wr = np.polynomial.legendre.leggauss(32)
-        radii = 0.5 * (r + 1.0)
-        points = (radii[:, None, None] * points).reshape(-1, 3)
-        weights = np.outer(1.5 * radii**2 * wr, weights).ravel()
-    elif domain != "surface":
-        raise ValueError(
-            f"average_domain must be 'surface' or 'ball', got {domain!r}")
     # Cached and shared by every call: freeze them.
     points.flags.writeable = False
     weights.flags.writeable = False
@@ -321,8 +308,8 @@ def _worst_trace(m, t):
     return r, 0.5 * np.linalg.norm(a @ r + t)
 
 
-def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
-                         *, average_domain="surface") -> ExtremumEstimate:
+def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE,
+                         strategy=None) -> ExtremumEstimate:
     """Disturbance of a channel with argmax information.
 
     ``channel`` may be an :class:`Instrument`, a marginal-channel spec
@@ -358,7 +345,7 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE, strategy=None,
         return _exact(r, max(0.0, 0.5 * (1.0 - r @ (m @ r + t))))
 
     if kind is MeasureKind.AVG_TRACE:
-        points, weights = _quadrature(average_domain)
+        points, weights = _quadrature()
         dist = np.linalg.norm(points @ (m - np.eye(3)).T + t, axis=1)
         return ExtremumEstimate(np.empty(0), float(0.5 * dist @ weights),
                                 0.0, "quadrature")
@@ -487,19 +474,6 @@ def _diamond(apply2, r_worst, worst):
                             float(upper) - value, "certified")
 
 
-def disturbance(channel, kind=MeasureKind.WORST_TRACE, *,
-                average_domain="surface") -> float:
+def disturbance(channel, kind=MeasureKind.WORST_TRACE) -> float:
     """Disturbance of a channel under the chosen measure kind."""
-    return disturbance_estimate(channel, kind,
-                                average_domain=average_domain).value
-
-
-def tradeoff_of(ins: Instrument, kind=MeasureKind.WORST_TRACE) -> TradeoffPoint:
-    """Pair the measurement error of the induced POVM with the channel
-    disturbance of the instrument."""
-    kind = MeasureKind(kind)
-    delta = measurement_error(povm_of(ins))
-    Delta = disturbance(ins, kind)
-    tag = dict(ins.label)
-    tag["kind"] = kind.value
-    return TradeoffPoint(delta, Delta, tag)
+    return disturbance_estimate(channel, kind).value

@@ -140,8 +140,7 @@ def optimal_tradeoff_point(p: OptimalFamilyParams) -> TradeoffPoint:
     of the optimal family; on the frontier at beta = 0."""
     g = p.gamma
     return TradeoffPoint(0.5 * (1.0 - g),
-                         0.5 * (1.0 - np.sqrt(1.0 - g**2) * np.cos(p.beta)),
-                         {"scheme": "optimal", "gamma": g, "beta": p.beta})
+                         0.5 * (1.0 - np.sqrt(1.0 - g**2) * np.cos(p.beta)))
 
 
 def diagonal_tradeoff_point(p: DiagonalFamilyParams) -> TradeoffPoint:
@@ -150,9 +149,7 @@ def diagonal_tradeoff_point(p: DiagonalFamilyParams) -> TradeoffPoint:
     (:func:`~qtradeoff.measures.diagonal_channel_disturbance_exact`)."""
     return TradeoffPoint(
         max(p.b1**2, p.b2**2),
-        diagonal_channel_disturbance_exact(make_diagonal_instrument(p)),
-        {"scheme": "diagonal", "b1": p.b1, "b2": p.b2,
-         "beta1": p.beta1, "beta2": p.beta2})
+        diagonal_channel_disturbance_exact(make_diagonal_instrument(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +168,7 @@ def cloner_induced_povm(p: ClonerParams) -> Povm:
 
 def cloner_tradeoff_point(p: ClonerParams) -> TradeoffPoint:
     """Closed-form (delta, Delta) = (a2^2 / 2, a1^2 / 2)."""
-    return TradeoffPoint(0.5 * p.a2**2, 0.5 * p.a1**2,
-                         {"scheme": "cloner", "a1": p.a1, "a2": p.a2})
+    return TradeoffPoint(0.5 * p.a2**2, 0.5 * p.a1**2)
 
 
 def cloner_tradeoff_curve(delta: float) -> float:
@@ -202,8 +198,7 @@ def swap_induced_povm(p: SwapParams) -> Povm:
 def swap_tradeoff_point(p: SwapParams) -> TradeoffPoint:
     """Closed-form (delta, Delta) = ((1 - a1^2)/2, a1^2/2); ancilla 1/2."""
     a1sq = p.a1**2
-    return TradeoffPoint(0.5 * (1.0 - a1sq), 0.5 * a1sq,
-                         {"scheme": "swap", "t": p.t})
+    return TradeoffPoint(0.5 * (1.0 - a1sq), 0.5 * a1sq)
 
 
 def swap_tradeoff_curve(delta: float) -> float:

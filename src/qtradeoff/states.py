@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, _as_matrix, herm_eigvals
+from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, _as_matrix
 
 __all__ = [
     "OutsideBall",
@@ -39,9 +39,10 @@ class OutsideBall(ValueError):
 def validate_density(rho, tol=_DENSITY_TOL):
     """Check Hermiticity, unit trace and positivity of a 2x2 state.
 
-    Positivity is tested on the Hermitian part, so the Hermiticity
-    tolerance here is the only one that applies.  Returns the validated
-    array; raises ValueError on violation.
+    Positivity is tested on the Hermitian part h, whose least eigenvalue
+    is the closed form mid - r, mid = (h00 + h11)/2 and r = hypot((h00 -
+    h11)/2, |h01|).  Returns the validated array; raises ValueError on
+    violation.
     """
     a = _as_matrix(rho, "rho")
     if np.linalg.norm(a - a.conj().T) > tol * max(1.0, np.linalg.norm(a)):
@@ -49,7 +50,9 @@ def validate_density(rho, tol=_DENSITY_TOL):
     tr = np.trace(a).real
     if abs(tr - 1.0) > tol:
         raise ValueError(f"density matrix has trace {tr}, expected 1")
-    if herm_eigvals(0.5 * (a + a.conj().T))[-1] < -tol:
+    h = 0.5 * (a + a.conj().T)
+    h00, h11 = h[0, 0].real, h[1, 1].real
+    if 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), abs(h[0, 1])) < -tol:
         raise ValueError("density matrix has a negative eigenvalue")
     return a
 

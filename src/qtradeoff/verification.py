@@ -28,7 +28,7 @@ from .experiment import (
     simulate_dataset,
 )
 from .instruments import (
-    DiagonalFamilyParams, Povm, apply_channel, validate_instrument)
+    DiagonalFamilyParams, Instrument, Povm, apply_channel)
 from .measures import (
     MeasureKind, disturbance, disturbance_estimate, measurement_error)
 from .qmath import ID2, SIGMA_X, dag
@@ -188,7 +188,7 @@ def _random_povm(rng):
 def _random_instrument(rng):
     # Haar 4x4 unitary -> isometry C^2 -> C^2 (x) C^2 -> Kraus pair.
     v = _random_unitary(rng, 4)[:, :2]
-    return validate_instrument(v[0:2, :], v[2:4, :])
+    return Instrument(v[0:2, :], v[2:4, :])
 
 
 def _mix_povm(a: Povm, b: Povm, lam):

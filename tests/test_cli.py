@@ -8,6 +8,17 @@ import pytest
 from qtradeoff.cli import main
 
 
+# Input files that neither command can use, with the start of the message
+# each must log: not UTF-8, nested past the recursion limit, an integer past
+# Python's 4,300-digit limit, and JSON that is not an object.
+UNUSABLE_FILES = [
+    (b'{"family": "optimal", "gamma": 0.5} \xff', "cannot read"),
+    (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+    (b'{"gamma": 1' + b"0" * 4300 + b"}", "invalid JSON"),
+    (b"null", "expected a JSON object"),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -123,10 +134,18 @@ def test_sweep_csv_number_format(tmp_path, capsys):
     assert "0.785398163397" in text
 
 
-def test_sweep_rejects_bad_steps(tmp_path, capsys):
+def test_sweep_rejects_bad_steps(tmp_path, capsys, caplog):
     code, _ = run_cli(capsys, "sweep", "--scheme", "optimal", "--steps", "1",
                       "--out", str(tmp_path / "x.csv"))
     assert code == 2
+    # Counts numpy refuses before it allocates anything.
+    for steps in ("4611686018427387904", "100000000000000000000"):
+        caplog.clear()
+        code, _ = run_cli(capsys, "sweep", "--scheme", "optimal", "--steps",
+                          steps, "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert f"--steps {steps}" in caplog.text
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_rejects_unwritable_path(capsys):
@@ -207,11 +226,18 @@ def test_eval_rejects_unusable_numbers(tmp_path, capsys, caplog, desc, field):
     assert field in caplog.text
 
 
-def test_eval_rejects_bad_schema(tmp_path, capsys):
+def test_eval_rejects_bad_schema(tmp_path, capsys, caplog):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"family": "optimal", "gamma": "big"}))
     code, _ = run_cli(capsys, "eval", "--instrument", str(f))
     assert code == 2
+    for content, message in UNUSABLE_FILES:
+        f.write_bytes(content)
+        caplog.clear()
+        code, out = run_cli(capsys, "eval", "--instrument", str(f))
+        assert code == 2
+        assert out == ""
+        assert message in caplog.text
 
 
 def test_eval_missing_file(capsys):
@@ -280,7 +306,7 @@ def test_experiment_rejects_bad_env_seed(tmp_path, capsys, monkeypatch, value):
     assert not (tmp_path / "x").exists()
 
 
-def test_experiment_config_errors(tmp_path, capsys):
+def test_experiment_config_errors(tmp_path, capsys, caplog):
     f = tmp_path / "cfg.json"
     f.write_text(json.dumps({"phi": 0.0}))
     code, _ = run_cli(capsys, "experiment", "--config", str(f),
@@ -290,6 +316,15 @@ def test_experiment_config_errors(tmp_path, capsys):
     code, _ = run_cli(capsys, "experiment", "--config", str(f),
                       "--out", str(tmp_path / "x"))
     assert code == 2
+    for content, message in UNUSABLE_FILES:
+        f.write_bytes(content)
+        caplog.clear()
+        code, out = run_cli(capsys, "experiment", "--config", str(f),
+                            "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert out == ""
+        assert message in caplog.text
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("overrides, field", [

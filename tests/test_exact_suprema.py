@@ -217,23 +217,21 @@ def test_identity_channel_infidelity_reads_zero():
 # averaged kind: the vectorised quadrature against the scalar loop
 # ---------------------------------------------------------------------------
 
-def loop_average(apply2, radii=(1.0,), radial_weights=(1.0,)):
+def loop_average(apply2):
     # Reference: the same Gauss-Legendre x trapezoid rule, one state at a
     # time, with the trace distance from numpy's eigenvalues.
     x, w = np.polynomial.legendre.leggauss(48)
     thetas = 0.5 * np.pi * (x + 1.0)
     phis = np.linspace(0.0, 2.0 * np.pi, 96, endpoint=False)
     total = 0.0
-    for rad, wr in zip(radii, radial_weights):
-        for th, wt in zip(thetas, 0.25 * np.pi * w * np.sin(thetas)):
-            for ph in phis:
-                rho = 0.5 * (np.eye(2) + rad * (
-                    np.sin(th) * np.cos(ph) * SIGMA_X
-                    + np.sin(th) * np.sin(ph) * SIGMA_Y
-                    + np.cos(th) * SIGMA_Z))
-                diff = apply2(rho) - rho
-                total += wr * wt * 0.5 * np.sum(
-                    np.abs(np.linalg.eigvalsh(diff))) / len(phis)
+    for th, wt in zip(thetas, 0.25 * np.pi * w * np.sin(thetas)):
+        for ph in phis:
+            rho = 0.5 * (np.eye(2) + np.sin(th) * np.cos(ph) * SIGMA_X
+                         + np.sin(th) * np.sin(ph) * SIGMA_Y
+                         + np.cos(th) * SIGMA_Z)
+            diff = apply2(rho) - rho
+            total += wt * 0.5 * np.sum(
+                np.abs(np.linalg.eigvalsh(diff))) / len(phis)
     return total
 
 
@@ -245,16 +243,6 @@ def test_averaged_quadrature_matches_scalar_loop(seed):
     for channel, f in ((spec, spec.apply), (apply2, apply2)):
         est = disturbance_estimate(channel, MeasureKind.AVG_TRACE)
         assert est.value == pytest.approx(loop_average(f), abs=1e-13)
-
-
-def test_averaged_ball_matches_scalar_loop():
-    spec = random_replacement(np.random.default_rng(2))
-    r, w = np.polynomial.legendre.leggauss(32)
-    radii = 0.5 * (r + 1.0)
-    ball = disturbance_estimate(spec, MeasureKind.AVG_TRACE,
-                                average_domain="ball").value
-    assert ball == pytest.approx(
-        loop_average(spec.apply, radii, 1.5 * radii**2 * w), abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +472,6 @@ def test_diamond_ignores_a_positional_strategy():
         assert given_one.value == plain.value
         assert given_one.certified_gap == plain.certified_gap
         assert np.array_equal(given_one.params, plain.params)
-
-
-def test_average_domain_is_keyword_only():
-    # A leftover positional strategy must not become the averaging domain.
-    spec = random_replacement(np.random.default_rng(4))
-    with pytest.raises(TypeError):
-        disturbance_estimate(spec, MeasureKind.AVG_TRACE, None, "ball")
 
 
 @pytest.mark.parametrize("kind", [k for k in MeasureKind

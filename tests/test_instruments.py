@@ -4,16 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from qtradeoff.instruments import (
     DiagonalFamilyParams,
+    Instrument,
     NotNormalized,
     OptimalFamilyParams,
     ParamOutOfRange,
     instrument_from_descriptor,
     make_diagonal_instrument,
     make_optimal_instrument,
-    outcome_probabilities,
     apply_channel,
     povm_of,
-    validate_instrument,
 )
 from qtradeoff.qmath import ID2, dag
 from qtradeoff.states import bloch_to_density, linear_pol_state, validate_density
@@ -23,6 +22,12 @@ PROJ_V = np.diag([0.0, 1.0]).astype(complex)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 angle = st.floats(min_value=0.0, max_value=2 * np.pi, allow_nan=False)
+
+
+def outcome_probabilities(ins, rho):
+    # p_j = tr(E'_j rho) for the induced POVM.
+    e = povm_of(ins)
+    return tuple(float(np.trace(ej @ rho).real) for ej in (e.e1, e.e2))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +122,7 @@ def test_labeling_coherence_outcome_one_favors_h():
 
 
 # ---------------------------------------------------------------------------
-# apply_channel / outcome_probabilities
+# apply_channel and outcome probabilities
 # ---------------------------------------------------------------------------
 
 def test_identity_instrument_preserves_states():
@@ -181,17 +186,17 @@ def test_probabilities_normalized_and_nonnegative(gamma, beta):
 
 
 # ---------------------------------------------------------------------------
-# validate_instrument
+# validating an arbitrary Kraus pair
 # ---------------------------------------------------------------------------
 
 def test_validate_instrument_accepts_valid_pairs():
-    validate_instrument(ID2 / np.sqrt(2.0), ID2 / np.sqrt(2.0))
-    validate_instrument(PROJ_H, PROJ_V)
+    Instrument(ID2 / np.sqrt(2.0), ID2 / np.sqrt(2.0))
+    Instrument(PROJ_H, PROJ_V)
 
 
 def test_validate_instrument_rejects_unnormalized():
     with pytest.raises(NotNormalized) as err:
-        validate_instrument(ID2, ID2)
+        Instrument(ID2, ID2)
     assert "exceeds" in str(err.value)
 
 
@@ -249,7 +254,7 @@ def test_descriptor_errors_name_fields():
 def test_normalization_check_rejects_overflow():
     # K1^dag K1 overflows to inf + nan j, so the deviation is NaN.
     with pytest.raises(NotNormalized):
-        validate_instrument(np.diag([1e300, 0.0]), np.diag([0.0, 1.0]))
+        Instrument(np.diag([1e300, 0.0]), np.diag([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("family, name", [

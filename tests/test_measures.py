@@ -16,7 +16,6 @@ from qtradeoff.measures import (
     diagonal_channel_disturbance_exact,
     disturbance,
     measurement_error,
-    tradeoff_of,
 )
 from qtradeoff.qmath import ID2, SIGMA_X, dag
 from qtradeoff.schemes import diagonal_tradeoff_point, optimal_frontier
@@ -107,8 +106,6 @@ def test_diagonal_error_closed_form_is_lower_bound_off_locus():
     assert exact == pytest.approx(max(p.b1**2, p.b2**2), abs=1e-12)
     assert pt.delta <= exact + 1e-12
     assert pt.delta == pytest.approx(0.81, abs=1e-15)
-    assert pt.tag == {"scheme": "diagonal", "b1": 0.9, "b2": 0.1,
-                      "beta1": 0.0, "beta2": 0.0}
     rng = np.random.default_rng(1)
     for _ in range(200):
         p = DiagonalFamilyParams(*rng.uniform(0, 1, 2), *rng.uniform(0, 2 * np.pi, 2))
@@ -192,20 +189,10 @@ def test_averaged_below_worst_case():
         assert avg == pytest.approx(np.pi / 4.0 * worst, abs=1e-6)
 
 
-def test_averaged_ball_domain_below_surface():
-    ins = make_optimal_instrument(OptimalFamilyParams(0.7))
-    surf = disturbance(ins, MeasureKind.AVG_TRACE, average_domain="surface")
-    ball = disturbance(ins, MeasureKind.AVG_TRACE, average_domain="ball")
-    assert ball < surf
-    assert ball == pytest.approx(0.75 * surf, abs=1e-6)  # mean radius 3/4
-
-
 def test_unknown_kind_rejected():
     ins = make_optimal_instrument(OptimalFamilyParams(0.5))
     with pytest.raises(UnknownKind):
         disturbance(ins, "nonsense")
-    with pytest.raises(ValueError):
-        disturbance(ins, MeasureKind.AVG_TRACE, average_domain="shell")
 
 
 def test_diamond_rejects_bare_callable():
@@ -214,22 +201,16 @@ def test_diamond_rejects_bare_callable():
 
 
 # ---------------------------------------------------------------------------
-# tradeoff_of and the frontier
+# optimal-family examples and the frontier
 # ---------------------------------------------------------------------------
 
-def test_tradeoff_of_examples():
-    pt = tradeoff_of(make_optimal_instrument(OptimalFamilyParams(0.0)))
-    assert pt.delta == pytest.approx(0.5, abs=1e-9)
-    assert pt.Delta == pytest.approx(0.0, abs=1e-10)
-    assert pt.tag == {"family": "optimal", "gamma": 0.0, "beta": 0.0,
-                      "kind": "worst-case-trace-norm"}
-    pt = tradeoff_of(make_optimal_instrument(OptimalFamilyParams(1.0)))
-    assert pt.delta == pytest.approx(0.0, abs=1e-10)
-    assert pt.Delta == pytest.approx(0.5, abs=1e-9)
-    pt = tradeoff_of(make_optimal_instrument(OptimalFamilyParams(0.5)))
-    assert pt.delta == pytest.approx(0.25, abs=1e-8)
-    assert pt.Delta == pytest.approx(FRONTIER_QUARTER, abs=1e-8)
-    assert pt.tag["gamma"] == 0.5
+def test_optimal_family_tradeoff_examples():
+    for gamma, delta, Delta, tol in ((0.0, 0.5, 0.0, 1e-9),
+                                     (1.0, 0.0, 0.5, 1e-9),
+                                     (0.5, 0.25, FRONTIER_QUARTER, 1e-8)):
+        ins = make_optimal_instrument(OptimalFamilyParams(gamma))
+        assert measurement_error(povm_of(ins)) == pytest.approx(delta, abs=tol)
+        assert disturbance(ins) == pytest.approx(Delta, abs=tol)
 
 
 def test_frontier_tightness_closed_forms():

@@ -357,8 +357,6 @@ def test_optimal_tradeoff_point_matches_exact_measures():
             disturbance(ins, MeasureKind.WORST_TRACE), abs=1e-12)
         if beta == 0.0:
             assert pt.Delta == pytest.approx(optimal_frontier(pt.delta), abs=1e-12)
-    assert optimal_tradeoff_point(OptimalFamilyParams(0.5, 0.2)).tag == {
-        "scheme": "optimal", "gamma": 0.5, "beta": 0.2}
 
 
 @pytest.mark.parametrize("scheme, value, point", [

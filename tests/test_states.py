@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtradeoff.qmath import ID2
+from qtradeoff.qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from qtradeoff.states import (
     OutsideBall,
     bloch_to_density,
@@ -118,10 +118,26 @@ def test_validate_density_rejections():
 
 
 def test_validate_density_applies_its_own_hermiticity_rule():
-    # ||rho - rho^dag|| = 9.9e-11 is within the density tolerance of 1e-10
-    # but not within herm_eigvals' relative one (7.1e-11); positivity is
-    # tested on the Hermitian part, so only the density's rule applies.
+    # ||rho - rho^dag|| = 9.9e-11 is within the density tolerance of 1e-10;
+    # positivity is tested on the Hermitian part, so rho is accepted.
     rho = np.array([[0.5, 0.0], [7e-11, 0.5]])
     np.testing.assert_array_equal(validate_density(rho), rho)
     with pytest.raises(ValueError, match="not Hermitian"):
         validate_density(np.array([[0.5, 0.0], [2e-10, 0.5]]))
+
+
+def test_validate_density_positivity_matches_numpy_eigenvalues():
+    # Bloch vectors of norm 1 + t in random directions, complex coherences
+    # included: the least eigenvalue -t/2 lies 2.5e-11 or more from the
+    # tolerance -1e-10, so the closed form must decide as eigvalsh does.
+    rng = np.random.default_rng(4)
+    for t in (-1e-9, 1e-11, 1.5e-10, 2.5e-10, 1e-9):
+        for _ in range(40):
+            v = rng.standard_normal(3)
+            v *= (1.0 + t) / np.linalg.norm(v)
+            rho = 0.5 * (ID2 + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
+            if np.linalg.eigvalsh(rho)[0] >= -1e-10:
+                validate_density(rho)
+            else:
+                with pytest.raises(ValueError, match="negative eigenvalue"):
+                    validate_density(rho)
