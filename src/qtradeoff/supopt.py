@@ -54,7 +54,8 @@ class ExtremumEstimate:
     """Result of a maximization: argmax parameters, value and gap.
 
     ``method`` says how the value was obtained: ``"exact"`` (closed-form
-    or secular-equation supremum; ``certified_gap`` is 0), ``"certified"``
+    or secular-equation supremum, or a closed-form average;
+    ``certified_gap`` is 0), ``"certified"``
     (a solve of a concave problem; ``value + certified_gap`` is a dual
     upper bound on the supremum), ``"quadrature"`` (a fixed
     quadrature rule, not a supremum; ``certified_gap`` is 0) or

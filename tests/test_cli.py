@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qtradeoff.cli import main
+from qtradeoff.measures import _quadrature
 
 
 # Input files that neither command can use, with the start of the message
@@ -95,6 +96,9 @@ def test_sweep_closed_matches_numeric(tmp_path, capsys):
 
 # sha256 of `sweep --steps 11` per scheme and kind, recorded before the
 # scheme construction and closed forms moved into `schemes.scheme_point`.
+# The cloner's averaged pin was taken again when unital channels moved to
+# the closed-form average: its row cloner,0.5 reads 0.212153045284, equal
+# to its Delta_closed (0.212153045283 by the quadrature rule).
 SWEEP_11_SHA256 = {
     ("optimal", "worst-case-trace-norm"): "62022a90c28c6c76a10d2450caf3d269b0ddf93f97c026be8234306e0351698e",
     ("optimal", "worst-case-hilbert-schmidt"): "68ac06dbc9a976ee9d3fd36f04ceb6e1bda026ee59fe9907cb576889a9cb3be2",
@@ -107,7 +111,7 @@ SWEEP_11_SHA256 = {
     ("cloner", "worst-case-trace-norm"): "d29afec199cdd5d061af25987474c6bdfc783f730f51c395b09ca819eda6b967",
     ("cloner", "worst-case-hilbert-schmidt"): "ebf0e9de7d252a54f241930762c29dd93985ad770313344fb9bcd3cfdcbad8ee",
     ("cloner", "worst-case-infidelity"): "19ff75cac9f5e4b0e7e98c04c47e55decf5bae5b04b35627c8f00841b8417980",
-    ("cloner", "state-averaged-trace-norm"): "7820b8ba5a9108024b537d660e80287f5a6f814f704b96c4f755a35a16196b4b",
+    ("cloner", "state-averaged-trace-norm"): "c6bf6ee8910fa9aa0b0b0e51ed7055f1e89b5a710c763fd0ab07a22fe09bc64e",
     ("swap", "worst-case-trace-norm"): "829675fbcfa9f147eea940052ead9d8e2ccf5f6fb5dac86a7bfe36728ef194b5",
     ("swap", "worst-case-hilbert-schmidt"): "b8be83bf1625c98e8c4c74d2d4520c5ba2c0466e210f9786e9708f76c4ac4581",
     ("swap", "worst-case-infidelity"): "5814ec300435c2ff25dfe0d93a7d9f62f030ddbae9fb61f7091d5266b6cd3f2f",
@@ -123,6 +127,18 @@ def test_sweep_bytes_are_pinned(tmp_path, capsys, scheme, kind):
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == SWEEP_11_SHA256[scheme, kind]
+
+
+def test_averaged_sweeps_never_build_the_quadrature(tmp_path, capsys):
+    # Every channel that sweep builds has t = 0, which the closed-form
+    # average serves; the quadrature rule is built on first use only.
+    _quadrature.cache_clear()
+    for scheme in ("optimal", "diagonal", "cloner", "swap"):
+        code, _ = run_cli(capsys, "sweep", "--scheme", scheme, "--steps", "11",
+                          "--kind", "state-averaged-trace-norm",
+                          "--out", str(tmp_path / f"{scheme}.csv"))
+        assert code == 0
+    assert _quadrature.cache_info().misses == 0
 
 
 def test_sweep_csv_number_format(tmp_path, capsys):

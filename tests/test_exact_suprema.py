@@ -16,12 +16,15 @@ dual bound taken one shrink at a time.
 """
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.special import elliprg
 
 from oracles import maximize_over_bipartite_pure_states, maximize_over_pure_states
 from qtradeoff import verification
@@ -37,6 +40,7 @@ from qtradeoff.measures import (
     MeasureKind,
     TARGET_POVM,
     _bloch_affine,
+    _carlson_rg,
     _channel_map,
     _dual_bound,
     _worst_trace,
@@ -242,7 +246,121 @@ def test_averaged_quadrature_matches_scalar_loop(seed):
     apply2 = random_mixture(rng)
     for channel, f in ((spec, spec.apply), (apply2, apply2)):
         est = disturbance_estimate(channel, MeasureKind.AVG_TRACE)
+        assert est.method == "quadrature"
         assert est.value == pytest.approx(loop_average(f), abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# averaged kind: Carlson's R_G for unital channels
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-8, 0.3, 1.0, 4.0, 1e6, 1e300])
+def test_carlson_rg_closed_forms(x):
+    # R_G(x, x, x) = sqrt(x); R_G(0, x, x) = (pi/4) sqrt(x), the mean of
+    # sqrt(x) sin(theta); R_G(0, 0, x) = sqrt(x)/2, the mean of sqrt(x) |Z|,
+    # where R_F is infinite and the duplication would never stop.  Each is
+    # one or two roundings of the exact value.
+    assert _carlson_rg(x, x, x) == pytest.approx(math.sqrt(x), rel=2 * EPS)
+    for args in set(itertools.permutations((0.0, x, x))):
+        assert _carlson_rg(*args) == pytest.approx(
+            0.25 * math.pi * math.sqrt(x), rel=2 * EPS)
+    for args in set(itertools.permutations((0.0, 0.0, x))):
+        assert _carlson_rg(*args) == pytest.approx(
+            0.5 * math.sqrt(x), rel=2 * EPS)
+    assert _carlson_rg(0.0, 0.0, 0.0) == 0.0
+
+
+def test_carlson_rg_thin_ellipsoid_stays_above_half():
+    # Semi-axes 1, 1e-3, 1e-3: R_G >= R_G(1, 0, 0) = 1/2, which the
+    # 48 x 96 quadrature rule broke.
+    value = _carlson_rg(1.0, 1e-6, 1e-6)
+    assert value >= 0.5
+    assert value == pytest.approx(elliprg(1.0, 1e-6, 1e-6), rel=1e-14)
+
+
+rg_args = st.one_of(st.just(0.0),
+                    st.floats(min_value=1e-100, max_value=1e100))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rg_args, rg_args, rg_args, st.floats(min_value=1e-50, max_value=1e50))
+def test_carlson_rg_properties(x, y, z, k):
+    """Symmetry, homogeneity of degree 1/2, the bounds sqrt(max)/2 <= R_G
+    <= sqrt(max), and scipy's independent R_G.
+
+    The arguments are sorted before anything else, so every order gives
+    the same bits.  Each value carries the rounding of up to 12 duplication
+    steps and of two short series, a few eps (scipy's elliprg agrees to
+    10 eps over 20,000 random arguments); k x, k y, k z add one rounding
+    each.  rel 1e-14, about 45 eps, covers that with room.  The bounds
+    hold exactly for the true R_G and may be missed by that rounding.
+    """
+    value = _carlson_rg(x, y, z)
+    for args in itertools.permutations((x, y, z)):
+        assert _carlson_rg(*args) == value
+    assert _carlson_rg(k * x, k * y, k * z) == pytest.approx(
+        math.sqrt(k) * value, rel=1e-14)
+    top = math.sqrt(max(x, y, z))
+    assert 0.5 * top * (1.0 - 1e-14) <= value <= top * (1.0 + 1e-14)
+    assert value == pytest.approx(elliprg(x, y, z), rel=1e-14)
+
+
+def test_x_dephasing_average_is_pi_over_8():
+    # Kraus |+><+| and |-><-|: M = diag(1, 0, 0), so |(M - 1) r| is
+    # |sin theta| about the x axis, whose surface mean is pi/4.  The
+    # closed form lands within two ulps; the 48 x 96 rule, whose poles sit
+    # on z, read 0.39270276200149123, 3.7e-6 high.
+    plus = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
+    minus = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    est = disturbance_estimate(Instrument(plus, minus), MeasureKind.AVG_TRACE)
+    assert est.method == "exact" and est.certified_gap == 0.0
+    assert abs(est.value - np.pi / 8.0) <= 2.0 * np.spacing(np.pi / 8.0)
+
+
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def pole_aligned_average(a, n):
+    """(1/2) the surface mean of |A r|: n-point Gauss-Legendre in theta
+    (sin theta weight) times a 2n-point trapezoid in phi, the weights
+    normalised to sum to 1, with the pole on A's least right singular
+    vector.  |A r| is near its kink there, where Gauss-Legendre clusters
+    its nodes; elsewhere it is analytic on the sphere."""
+    _, _, vt = np.linalg.svd(a)
+    x, w = np.polynomial.legendre.leggauss(n)
+    theta = 0.5 * np.pi * (x + 1.0)
+    phi = np.linspace(0.0, 2.0 * np.pi, 2 * n, endpoint=False)
+    st_, ct = np.sin(theta)[:, None, None], np.cos(theta)[:, None, None]
+    # A r for r = sin cos v0 + sin sin v1 + cos v2, one (3,) per node.
+    av = a @ vt.T
+    images = (st_ * np.cos(phi)[None, :, None] * av[:, 0]
+              + st_ * np.sin(phi)[None, :, None] * av[:, 1] + ct * av[:, 2])
+    weights = w * np.sin(theta)
+    return 0.5 * float(weights @ np.linalg.norm(images, axis=2).mean(axis=1)
+                       / weights.sum())
+
+
+@PROPERTY
+@given(seeds)
+def test_random_unital_average_matches_pole_aligned_reference(seed):
+    """R_G against an independent high-order integral of |A r|, A read
+    from the channel's Pauli transfer matrix tr(sigma_i T(sigma_j)) / 2.
+
+    The reference converges geometrically in n, so its error at n = 400 is
+    far below its change from n = 200, which bounds it.  The remainder is
+    rounding: a few eps in each |A r| and in two pairwise-summed weighted
+    sums; 8 eps covers it.
+    """
+    apply2 = random_unital(np.random.default_rng(seed))
+    a = np.array([[0.5 * np.trace(si @ apply2(sj)).real for sj in PAULIS]
+                  for si in PAULIS]) - np.eye(3)
+    est = disturbance_estimate(apply2, MeasureKind.AVG_TRACE)
+    assert est.method == "exact" and est.params.size == 0
+    coarse, fine = pole_aligned_average(a, 200), pole_aligned_average(a, 400)
+    assert abs(est.value - fine) <= abs(fine - coarse) + 8.0 * EPS
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +561,12 @@ def test_stacked_dual_bound_matches_per_shrink_loop(seed, radius):
 # ---------------------------------------------------------------------------
 
 def test_methods_are_reported():
+    # t = 0 takes the closed-form average, t != 0 the quadrature rule.
     ins = make_optimal_instrument(OptimalFamilyParams(0.5))
     avg = disturbance_estimate(ins, MeasureKind.AVG_TRACE)
+    assert avg.method == "exact" and avg.params.size == 0
+    spec = MarginalChannelSpec(0.5, pure_state(0.0, 0.0))
+    avg = disturbance_estimate(spec, MeasureKind.AVG_TRACE)
     assert avg.method == "quadrature" and avg.params.size == 0
     assert disturbance_estimate(ins, MeasureKind.DIAMOND).method == "certified"
 
