@@ -35,7 +35,6 @@ from .measures import (
     disturbance_estimate,
     measurement_error_estimate,
 )
-from .states import density_to_bloch, pure_state
 
 log = logging.getLogger("qtradeoff")
 
@@ -132,9 +131,8 @@ def cmd_eval(args) -> int:
     dd_est = disturbance_estimate(ins, kind)
 
     def argmax_state(est):
-        if est.params.size == 2:
-            bloch = density_to_bloch(pure_state(*est.params))
-            return {"bloch": [round(float(c), 12) for c in bloch]}
+        if est.params.size == 3:
+            return {"bloch": [round(float(c), 12) for c in est.params]}
         if est.params.size == 8:
             v = est.params[:4] + 1j * est.params[4:]
             return {"bipartite_vector": [[float(c.real), float(c.imag)]

@@ -19,7 +19,8 @@ state-averaged trace norm (uniform surface measure over pure states).
 Both delta and Delta are convex in rho, so all suprema are taken over
 pure states.  Every qubit channel acts on Bloch vectors as an affine map
 r -> M r + t, read from the images of I/2 and the Pauli eigenstates, and
-every effect is c 1 + d . sigma.  The measurement error and the
+every effect is c 1 + d . sigma.  (M, t) is the only form in which any
+kind sees a channel, so each reads it once.  The measurement error and the
 worst-case trace-norm, Hilbert-Schmidt and infidelity kinds are then the
 maximum of a norm or a quadratic over the unit sphere, solved exactly
 with one 3x3 eigendecomposition and the root of the secular equation,
@@ -32,12 +33,13 @@ elliptic integral of the singular values of M - 1 (``method ==
 a kink or cone off its poles: by up to 7.4e-6 over 300 random
 instruments, against a pole-aligned 800 x 1600 reference, and by up to
 6.3e-6 over 300 random unital channels, which it no longer serves.  The
-diamond kind is a concave maximization over the ancilla state, one
-deterministic BFGS solve in numpy whose value comes with a dual upper
-bound (``method == "certified"``).  No kind
-searches, and the package needs numpy alone; the grid plus Nelder-Mead
-maximizers that cross-check every kind are test oracles and live with
-the tests.
+diamond kind is a concave maximization over the ancilla state, with the
+Choi matrix built from (M, t), one deterministic BFGS solve in numpy
+whose value comes with a dual upper bound (``method == "certified"``).
+The exact kinds report the maximizing state's Bloch vector as argmax.
+No kind searches, and the package needs numpy alone; the grid plus
+Nelder-Mead maximizers that cross-check every kind are test oracles and
+live with the tests.
 
 The closed-form points of the schemes live in :mod:`qtradeoff.schemes`
 and the sampled axiom checks in :mod:`qtradeoff.verification`.
@@ -111,9 +113,12 @@ class TradeoffPoint:
 # Bloch-affine form and exact suprema over the sphere
 # ---------------------------------------------------------------------------
 
+# The Pauli basis (1, sigma_x, sigma_y, sigma_z): the probe states, the
+# lifted basis and the Choi matrix of the diamond kind all derive from it.
+_PAULIS = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+
 # I/2 followed by the +1 eigenstates of sigma_x, sigma_y and sigma_z.
-_PROBE_STATES = (0.5 * ID2,) + tuple(
-    0.5 * (ID2 + s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+_PROBE_STATES = (0.5 * ID2,) + tuple(0.5 * (ID2 + s) for s in _PAULIS[1:])
 
 
 def _pauli_coefficients(x):
@@ -127,9 +132,10 @@ def _pauli_coefficients(x):
 def _bloch_affine(apply2):
     """(M, t) with T((1 + r.sigma)/2) = (1 + (M r + t).sigma)/2.
 
-    Read from the images of I/2 and the three Pauli eigenstates, so every
-    linear map works, bare callables included.  Raises ValueError if the
-    map is not trace-preserving to ``NORMALIZATION_TOL``.
+    Read from the images of I/2 and the three Pauli eigenstates, the only
+    inputs any kind gives the channel, so every linear map works, bare
+    callables included.  Raises ValueError if the map is not
+    trace-preserving to ``NORMALIZATION_TOL``.
     """
     coeffs = [_pauli_coefficients(np.asarray(apply2(rho), dtype=complex))
               for rho in _PROBE_STATES]
@@ -214,10 +220,8 @@ def _sphere_argmax(h, b):
 
 
 def _exact(r, value):
-    # Argmax as Bloch angles (theta, phi), like the numeric engine.
-    angles = np.array([np.arccos(np.clip(r[2], -1.0, 1.0)),
-                       np.arctan2(r[1], r[0]) % (2.0 * np.pi)])
-    return ExtremumEstimate(angles, float(value), 0.0, "exact")
+    # The argmax is the maximizing pure state's Bloch vector r.
+    return ExtremumEstimate(r, float(value), 0.0, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +230,7 @@ def _exact(r, value):
 
 def measurement_error_estimate(povm: Povm) -> ExtremumEstimate:
     """Worst-case total variational distance to the target measurement,
-    with the maximizing state's Bloch angles.
+    with the maximizing state's Bloch vector.
 
     Exact: with E'_j - E_j = c_j 1 + d_j . sigma, the supremum of
     (1/2)(|c_1 + d_1.r| + |c_2 + d_2.r|) over unit r is the largest of
@@ -254,15 +258,13 @@ def measurement_error(povm: Povm) -> float:
 # ---------------------------------------------------------------------------
 
 def _channel_map(channel):
-    """(T, linear): the channel as a function on 2x2 operators, and
-    whether T is known to be linear on all of them, not only on states (a
-    bare callable is not; the diamond kind needs it)."""
+    """The channel as a function on 2x2 states."""
     if isinstance(channel, Instrument):
-        return partial(apply_channel, channel), True
+        return partial(apply_channel, channel)
     if hasattr(channel, "weight") and hasattr(channel, "replacement"):
-        return channel.apply, True
+        return channel.apply
     if callable(channel):
-        return channel, False
+        return channel
     raise TypeError(f"cannot interpret {type(channel).__name__} as a channel")
 
 
@@ -403,8 +405,10 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE,
 
     ``channel`` may be an :class:`Instrument`, a marginal-channel spec
     (:class:`~qtradeoff.schemes.MarginalChannelSpec`), or a bare linear
-    callable on 2x2 states (all kinds except diamond).  The channel must
-    be trace-preserving (ValueError otherwise).  ``strategy`` is never
+    callable on 2x2 states.  Every kind reads it once, as its Bloch map
+    (M, t) from four probe states, so a bare callable gets every kind: the
+    diamond kind extends its action on those states linearly.  The channel
+    must be trace-preserving (ValueError otherwise).  ``strategy`` is never
     read: no kind searches.  It stays only because the benchmark's diamond
     workload passes a :class:`~qtradeoff.supopt.SupremumStrategy` there
     positionally; removing it waits for a change to the benchmark.
@@ -414,8 +418,7 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE,
     except ValueError as exc:
         raise UnknownKind(f"unknown disturbance measure kind {kind!r}") from exc
 
-    apply2, linear = _channel_map(channel)
-    m, t = _bloch_affine(apply2)
+    m, t = _bloch_affine(_channel_map(channel))
 
     # T(rho) - rho = ((M - 1) r + t) . sigma / 2 is traceless, with trace
     # norm |(M - 1) r + t| and Hilbert-Schmidt norm that over sqrt(2).
@@ -448,16 +451,12 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE,
         return ExtremumEstimate(np.empty(0), float(0.5 * dist @ weights),
                                 0.0, "quadrature")
 
-    if not linear:
-        raise TypeError(
-            "diamond-norm disturbance needs an Instrument or a marginal "
-            "channel spec; a bare callable has no bipartite extension")
-    return _diamond(apply2, *_worst_trace(m, t))
+    return _diamond(m, t)
 
 
 # 1 (x) P for P in (1, sigma_x, sigma_y, sigma_z): S = 1 (x) X is c @ _LIFTED
 # for X = c0 1 + c.sigma, and X is S's top-left block.
-_LIFTED = np.kron(ID2, np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z]))
+_LIFTED = np.kron(ID2, _PAULIS)
 
 
 def _dual_bound(j, sigmas):
@@ -516,8 +515,13 @@ def _bfgs(fun, x):
     return x, f
 
 
-def _diamond(apply2, r_worst, worst):
-    """(1/2)||T - id||_<> as one deterministic solve with a dual bound.
+def _diamond(m, t):
+    """(1/2)||T - id||_<> of the channel with Bloch map (M, t), as one
+    deterministic solve with a dual bound.
+
+    T - id sends sigma_n to sum_m (R - 1)_mn sigma_m, R = [[1, 0], [t, M]]
+    the Pauli transfer matrix, so J = (1/2) sum_mn (R - 1)_mn sigma_m (x)
+    sigma_n^T.
 
     The input (1 (x) X)|Omega>, X = c0 1 + c.sigma, has the output
     K = S J S, S = 1 (x) X and J the Choi matrix of T - id (output first,
@@ -544,10 +548,12 @@ def _diamond(apply2, r_worst, worst):
     the measured shortfall of the computed Z from Z >= J and Z >= 0, plus
     32 eps (||Z||_F + ||J||_F).
     """
-    # J[(a, k), (b, l)] = (T - id)(|k><l|)[a, b].
-    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    images = np.stack([apply2(e) - e for e in units])
-    j = images.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    # J[(a, k), (b, l)] = (1/2) sum_mn (R - 1)_mn sigma_m[a, b] sigma_n[l, k].
+    r_minus_1 = np.zeros((4, 4))
+    r_minus_1[1:] = np.column_stack([t, m - np.eye(3)])
+    j = 0.5 * np.einsum("mn,mab,nlk->akbl", r_minus_1, _PAULIS,
+                        _PAULIS).reshape(4, 4)
+    r_worst, worst = _worst_trace(m, t)
 
     def neg(c):
         # -f(c) and its gradient, with tr X^2 = 2 c.c.

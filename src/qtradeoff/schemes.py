@@ -124,13 +124,6 @@ class MarginalChannelSpec:
             + (1.0 - self.weight) * rho
 
 
-def _induced_povm(spec: MarginalChannelSpec) -> Povm:
-    # The target measurement after T: E'_j = w tr(E_j rep) 1 + (1 - w) E_j.
-    w = spec.weight
-    return Povm(*(w * np.trace(e @ spec.replacement) * ID2 + (1.0 - w) * e
-                  for e in (TARGET_POVM.e1, TARGET_POVM.e2)))
-
-
 # ---------------------------------------------------------------------------
 # Optimal and diagonal instrument families
 # ---------------------------------------------------------------------------
@@ -153,18 +146,32 @@ def diagonal_tradeoff_point(p: DiagonalFamilyParams) -> TradeoffPoint:
 
 
 # ---------------------------------------------------------------------------
-# Optimal universal asymmetric cloner
+# Marginals of the cloner and of the swap (maximally mixed ancilla)
 # ---------------------------------------------------------------------------
 
-def cloner_system_channel_spec(p: ClonerParams) -> MarginalChannelSpec:
-    """The system marginal as a replacement-form channel."""
+def cloner_system_channel_spec(p: ClonerParams | SwapParams
+                               ) -> MarginalChannelSpec:
+    """The kept system's marginal, w = a1^2, of the cloner or the swap."""
     return MarginalChannelSpec(p.a1**2, MAXIMALLY_MIXED)
 
 
-def cloner_induced_povm(p: ClonerParams) -> Povm:
-    """Measurement induced on the input by measuring the clone."""
-    return _induced_povm(MarginalChannelSpec(p.a2**2, MAXIMALLY_MIXED))
+def cloner_induced_povm(p: ClonerParams | SwapParams) -> Povm:
+    """Measurement induced on the input through the measured marginal,
+    w = a2^2, of the cloner or the swap."""
+    # E'_j = w tr(E_j rep) 1 + (1 - w) E_j; the spec checks w in [0, 1].
+    w = MarginalChannelSpec(p.a2**2, MAXIMALLY_MIXED).weight
+    return Povm(*(w * np.trace(e @ MAXIMALLY_MIXED) * ID2 + (1.0 - w) * e
+                  for e in (TARGET_POVM.e1, TARGET_POVM.e2)))
 
+
+# Both schemes' marginals are these, each in its own (a1, a2).
+swap_system_channel_spec = cloner_system_channel_spec
+swap_induced_povm = cloner_induced_povm
+
+
+# ---------------------------------------------------------------------------
+# Optimal universal asymmetric cloner
+# ---------------------------------------------------------------------------
 
 def cloner_tradeoff_point(p: ClonerParams) -> TradeoffPoint:
     """Closed-form (delta, Delta) = (a2^2 / 2, a1^2 / 2)."""
@@ -183,17 +190,6 @@ def cloner_tradeoff_curve(delta: float) -> float:
 # ---------------------------------------------------------------------------
 # Coherent swap
 # ---------------------------------------------------------------------------
-
-def swap_system_channel_spec(p: SwapParams) -> MarginalChannelSpec:
-    """System marginal for the maximally mixed ancilla."""
-    return MarginalChannelSpec(p.a1**2, MAXIMALLY_MIXED)
-
-
-def swap_induced_povm(p: SwapParams) -> Povm:
-    """Measurement induced on the input (maximally mixed ancilla), through
-    the measured marginal a2^2 * 1/2 + (1 - a2^2) * rho."""
-    return _induced_povm(MarginalChannelSpec(p.a2**2, MAXIMALLY_MIXED))
-
 
 def swap_tradeoff_point(p: SwapParams) -> TradeoffPoint:
     """Closed-form (delta, Delta) = ((1 - a1^2)/2, a1^2/2); ancilla 1/2."""

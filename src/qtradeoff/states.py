@@ -20,7 +20,6 @@ __all__ = [
     "validate_density",
     "bloch_to_density",
     "density_to_bloch",
-    "pure_state",
     "linear_pol_state",
     "sm7_state_list",
     "MAXIMALLY_MIXED",
@@ -76,17 +75,6 @@ def density_to_bloch(rho):
     y = -2.0 * a[..., 0, 1].imag
     z = (a[..., 0, 0] - a[..., 1, 1]).real
     return np.stack([x, y, z], axis=-1)
-
-
-def pure_state(theta, phi):
-    """Pure state with Bloch angles (theta, phi), in radians.
-
-    Bloch vector: (sin t cos p, sin t sin p, cos t).
-    """
-    c = np.cos(0.5 * theta)
-    s = np.sin(0.5 * theta)
-    psi = np.array([c, np.exp(1j * phi) * s])
-    return np.outer(psi, psi.conj())
 
 
 def linear_pol_state(theta_deg):

@@ -53,6 +53,10 @@ class SupremumStrategy:
 class ExtremumEstimate:
     """Result of a maximization: argmax parameters, value and gap.
 
+    ``params`` is the argmax: the maximizing state's Bloch vector for an
+    exact state supremum, the 8 reals of the bipartite input for the
+    diamond kind, empty for an average, the search point for "numeric".
+
     ``method`` says how the value was obtained: ``"exact"`` (closed-form
     or secular-equation supremum, or a closed-form average;
     ``certified_gap`` is 0), ``"certified"``

@@ -16,10 +16,20 @@ these maximizers.  Objectives must be pure functions.
 import numpy as np
 from scipy.optimize import minimize
 
-from qtradeoff.states import pure_state
 from qtradeoff.supopt import ExtremumEstimate, SupremumStrategy
 
 DEFAULT_STRATEGY = SupremumStrategy()
+
+
+def pure_state(theta, phi):
+    """Pure state with Bloch angles (theta, phi), in radians.
+
+    Bloch vector: (sin t cos p, sin t sin p, cos t).
+    """
+    c = np.cos(0.5 * theta)
+    s = np.sin(0.5 * theta)
+    psi = np.array([c, np.exp(1j * phi) * s])
+    return np.outer(psi, psi.conj())
 
 
 def _refine(neg, x0, strategy):

@@ -186,6 +186,18 @@ def test_eval_projective_optimal(tmp_path, capsys):
     assert "argmax_states" in result
 
 
+def test_eval_prints_argmax_bloch_vectors(tmp_path, capsys):
+    # The exact kinds return the maximizing state's Bloch vector itself,
+    # printed rounded to 12 decimals: no component reads -0.0.
+    f = tmp_path / "ins.json"
+    f.write_text(json.dumps({"family": "optimal", "gamma": 0.5}))
+    code, out = run_cli(capsys, "eval", "--instrument", str(f))
+    assert code == 0
+    assert json.dumps(json.loads(out)["argmax_states"]) == json.dumps(
+        {"delta": {"bloch": [0.0, 0.0, -1.0]},
+         "Delta": {"bloch": [1.0, 0.0, 0.0]}})
+
+
 def test_eval_diagonal_half(tmp_path, capsys):
     f = tmp_path / "ins.json"
     f.write_text(json.dumps({"family": "diagonal", "b1": 0.5, "b2": 0.5}))

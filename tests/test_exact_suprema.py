@@ -49,7 +49,7 @@ from qtradeoff.measures import (
 )
 from qtradeoff.qmath import SIGMA_X, SIGMA_Y, SIGMA_Z, dag
 from qtradeoff.schemes import MarginalChannelSpec
-from qtradeoff.states import bloch_to_density, pure_state
+from qtradeoff.states import bloch_to_density
 from qtradeoff.supopt import SupremumStrategy
 from qtradeoff.verification import (
     _random_instrument, _random_povm, _random_unitary)
@@ -91,8 +91,9 @@ def assert_matches_oracle(est, f):
     oracle = maximize_over_pure_states(f, DENSE).value
     assert est.value >= oracle - 1e-12
     assert abs(est.value - oracle) <= 1e-8
-    # the reported argmax attains the value
-    assert f(pure_state(*est.params)) == pytest.approx(est.value, abs=1e-12)
+    # the reported argmax, a Bloch vector, attains the value
+    assert f(bloch_to_density(est.params)) == pytest.approx(est.value,
+                                                            abs=1e-12)
     assert est.method == "exact" and est.certified_gap == 0.0
 
 
@@ -203,7 +204,8 @@ def test_pure_replacement_peaks_opposite_the_replacement():
     check_channel(spec, spec.apply)
     est = disturbance_estimate(spec)
     assert est.value == pytest.approx(0.4, abs=1e-15)
-    assert est.params[0] == pytest.approx(np.pi, abs=1e-12)
+    assert np.allclose(bloch_to_density(est.params), np.diag([0.0, 1.0]),
+                       atol=1e-12)
 
 
 def test_identity_channel_infidelity_reads_zero():
@@ -455,7 +457,7 @@ def reference_dual_bound(j, sigma):
 
 
 def reference_choi(channel):
-    apply2 = _channel_map(channel)[0]
+    apply2 = _channel_map(channel)
     return sum(np.kron(apply2(e) - e, e)
                for e in np.eye(4, dtype=complex).reshape(4, 2, 2))
 
@@ -465,7 +467,7 @@ def reference_diamond(channel):
     starts, floor and dual bound, J built from Kronecker products and the
     bound taken one shrink at a time.  Returns (value, upper)."""
     j = reference_choi(channel)
-    r_worst, worst = _worst_trace(*_bloch_affine(_channel_map(channel)[0]))
+    r_worst, worst = _worst_trace(*_bloch_affine(_channel_map(channel)))
 
     def neg(c):
         s = np.tensordot(c, LIFTED, 1)
@@ -565,7 +567,7 @@ def test_methods_are_reported():
     ins = make_optimal_instrument(OptimalFamilyParams(0.5))
     avg = disturbance_estimate(ins, MeasureKind.AVG_TRACE)
     assert avg.method == "exact" and avg.params.size == 0
-    spec = MarginalChannelSpec(0.5, pure_state(0.0, 0.0))
+    spec = MarginalChannelSpec(0.5, bloch_to_density([0.0, 0.0, 1.0]))
     avg = disturbance_estimate(spec, MeasureKind.AVG_TRACE)
     assert avg.method == "quadrature" and avg.params.size == 0
     assert disturbance_estimate(ins, MeasureKind.DIAMOND).method == "certified"
@@ -596,8 +598,7 @@ def test_diamond_ignores_a_positional_strategy():
         assert np.array_equal(given_one.params, plain.params)
 
 
-@pytest.mark.parametrize("kind", [k for k in MeasureKind
-                                  if k is not MeasureKind.DIAMOND])
+@pytest.mark.parametrize("kind", list(MeasureKind))
 def test_non_trace_preserving_callable_rejected(kind):
     with pytest.raises(ValueError, match="trace-preserving"):
         disturbance_estimate(lambda rho: 0.9 * rho, kind)

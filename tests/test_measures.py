@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from oracles import maximize_over_pure_states
 from qtradeoff.instruments import (
     DiagonalFamilyParams,
     OptimalFamilyParams,
+    apply_channel,
     make_diagonal_instrument,
     make_optimal_instrument,
     povm_of,
@@ -15,10 +18,14 @@ from qtradeoff.measures import (
     UnknownKind,
     diagonal_channel_disturbance_exact,
     disturbance,
+    disturbance_estimate,
     measurement_error,
 )
 from qtradeoff.qmath import ID2, SIGMA_X, dag
-from qtradeoff.schemes import diagonal_tradeoff_point, optimal_frontier
+from qtradeoff.schemes import (
+    MarginalChannelSpec, diagonal_tradeoff_point, optimal_frontier)
+from qtradeoff.states import bloch_to_density
+from qtradeoff.verification import _random_instrument
 from qtradeoff.supopt import SupremumStrategy
 
 FAST = SupremumStrategy(coarse_grid_points=24, refine_iterations=60,
@@ -195,9 +202,20 @@ def test_unknown_kind_rejected():
         disturbance(ins, "nonsense")
 
 
-def test_diamond_rejects_bare_callable():
-    with pytest.raises(TypeError):
-        disturbance(lambda rho: rho, MeasureKind.DIAMOND)
+def test_diamond_of_bare_callable_equals_its_channel():
+    # Every kind reads a channel through the same four probe states, so a
+    # bare callable's diamond value and gap are its channel's, bit for bit.
+    rng = np.random.default_rng(11)
+    pairs = [(ins, partial(apply_channel, ins))
+             for ins in (_random_instrument(rng) for _ in range(5))]
+    spec = MarginalChannelSpec(0.35, bloch_to_density([0.3, -0.4, 0.5]))
+    pairs.append((spec, spec.apply))
+    for channel, bare in pairs:
+        est = disturbance_estimate(channel, MeasureKind.DIAMOND)
+        bare_est = disturbance_estimate(bare, MeasureKind.DIAMOND)
+        assert bare_est.value == est.value
+        assert bare_est.certified_gap == est.certified_gap
+        assert est.method == bare_est.method == "certified"
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import pure_state
 from qtradeoff.qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from qtradeoff.states import (
     OutsideBall,
     bloch_to_density,
     density_to_bloch,
     linear_pol_state,
-    pure_state,
     sm7_state_list,
     validate_density,
 )

@@ -4,7 +4,8 @@
 import numpy as np
 import pytest
 
-from oracles import maximize_over_bipartite_pure_states, maximize_over_pure_states
+from oracles import (
+    maximize_over_bipartite_pure_states, maximize_over_pure_states, pure_state)
 from qtradeoff.instruments import OptimalFamilyParams, apply_channel, make_optimal_instrument
 from qtradeoff.qmath import SIGMA_Z
 from qtradeoff.states import density_to_bloch
@@ -29,7 +30,6 @@ def test_linear_objective_peaks_at_pole():
         lambda rho: np.einsum("ij,ji->", SIGMA_Z, rho).real, SMALL)
     assert est.value == pytest.approx(1.0, abs=1e-9)
     # argmax is the +z pole
-    from qtradeoff.states import pure_state
     assert density_to_bloch(pure_state(*est.params))[2] == pytest.approx(1.0, abs=1e-4)
 
 
@@ -41,7 +41,6 @@ def test_dephasing_disturbance_peaks_on_equator():
 
     est = maximize_over_pure_states(f, SMALL)
     assert est.value == pytest.approx(0.5, abs=1e-9)
-    from qtradeoff.states import pure_state
     z = density_to_bloch(pure_state(*est.params))[2]
     assert abs(z) < 1e-4
 
@@ -55,7 +54,6 @@ def test_grid_dominance_and_determinism():
         return abs(np.einsum("ij,ji->", h, rho).real) ** 1.3
 
     # brute grid reference
-    from qtradeoff.states import pure_state
     grid_best = max(
         f(pure_state(t, p))
         for t in np.linspace(0, np.pi, SMALL.coarse_grid_points)
