@@ -89,11 +89,7 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         log.error("sweep: --steps must be >= 2")
         return EXIT_INPUT
-    try:
-        kind = MeasureKind(args.kind)
-    except ValueError:
-        log.error("sweep: unknown measure kind %r", args.kind)
-        return EXIT_INPUT
+    kind = MeasureKind(args.kind)
 
     top = 0.5 * np.pi if args.scheme == "swap" else 1.0
     try:

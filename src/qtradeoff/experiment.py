@@ -207,11 +207,6 @@ class SimulatedDataset:
         for name, column in zip(_FIELDS, columns):
             object.__setattr__(self, name, column)
 
-    @classmethod
-    def from_records(cls, config, records):
-        """A dataset holding the given :class:`Record` objects, in order."""
-        return _dataset_from_rows(config, map(attrgetter(*_FIELDS), records))
-
     @property
     def records(self):
         """The records, built on each read."""

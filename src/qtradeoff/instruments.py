@@ -63,13 +63,22 @@ def _readonly(a):
     return out
 
 
+def apply_channel(ins: Instrument, rho) -> np.ndarray:
+    """Unselected state change: K1 rho K1^dag + K2 rho K2^dag."""
+    rho = np.asarray(rho, dtype=complex)
+    return ins.k1 @ rho @ dag(ins.k1) + ins.k2 @ rho @ dag(ins.k2)
+
+
 @dataclass(frozen=True, eq=False)
 class Instrument:
     """Two-outcome instrument given by a normalized Kraus pair (raises
-    :class:`NotNormalized` with the measured deviation otherwise)."""
+    :class:`NotNormalized` with the measured deviation otherwise).
+    ``ins(rho)`` applies its channel, :func:`apply_channel`."""
 
     k1: np.ndarray
     k2: np.ndarray
+
+    __call__ = apply_channel
 
     def __post_init__(self):
         k1 = _readonly(_as_matrix(self.k1, "k1"))
@@ -87,7 +96,10 @@ class Instrument:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Two-outcome POVM {E1, E2} with E1 + E2 = 1."""
+    """Two-outcome POVM {E1, E2} of finite 2x2 matrices.  Neither E1 + E2 = 1
+    nor positivity is checked; :func:`povm_of` and the schemes build POVMs
+    with both, and :func:`~qtradeoff.measures.measurement_error_estimate`
+    is exact for any Hermitian pair."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -151,12 +163,6 @@ def make_optimal_instrument(p: OptimalFamilyParams) -> Instrument:
 def povm_of(ins: Instrument) -> Povm:
     """Induced POVM {E'_j = K_j^dag K_j}."""
     return Povm(dag(ins.k1) @ ins.k1, dag(ins.k2) @ ins.k2)
-
-
-def apply_channel(ins: Instrument, rho) -> np.ndarray:
-    """Unselected state change: K1 rho K1^dag + K2 rho K2^dag."""
-    rho = np.asarray(rho, dtype=complex)
-    return ins.k1 @ rho @ dag(ins.k1) + ins.k2 @ rho @ dag(ins.k2)
 
 
 # ---------------------------------------------------------------------------

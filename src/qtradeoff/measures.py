@@ -17,10 +17,12 @@ the worst-case infidelity sup_rho (1 - F(rho, T(rho))^2), and the
 state-averaged trace norm (uniform surface measure over pure states).
 
 Both delta and Delta are convex in rho, so all suprema are taken over
-pure states.  Every qubit channel acts on Bloch vectors as an affine map
-r -> M r + t, read from the images of I/2 and the Pauli eigenstates, and
-every effect is c 1 + d . sigma.  (M, t) is the only form in which any
-kind sees a channel, so each reads it once.  The measurement error and the
+pure states.  A channel is any callable on 2x2 states, the package's
+instruments and replacement channels included.  Every qubit channel acts
+on Bloch vectors as an affine map r -> M r + t, read from the images of
+I/2 and the Pauli eigenstates, and every effect is c 1 + d . sigma.
+(M, t) is the only form in which any kind sees a channel, so each reads
+it once.  The measurement error and the
 worst-case trace-norm, Hilbert-Schmidt and infidelity kinds are then the
 maximum of a norm or a quadratic over the unit sphere, solved exactly
 with one 3x3 eigendecomposition and the root of the secular equation,
@@ -50,11 +52,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
-from .instruments import NORMALIZATION_TOL, Instrument, Povm, apply_channel
+from .instruments import NORMALIZATION_TOL, Instrument, Povm
 from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag
 from .supopt import ExtremumEstimate
 
@@ -254,19 +256,8 @@ def measurement_error(povm: Povm) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Channel handling
+# Disturbance
 # ---------------------------------------------------------------------------
-
-def _channel_map(channel):
-    """The channel as a function on 2x2 states."""
-    if isinstance(channel, Instrument):
-        return partial(apply_channel, channel)
-    if hasattr(channel, "weight") and hasattr(channel, "replacement"):
-        return channel.apply
-    if callable(channel):
-        return channel
-    raise TypeError(f"cannot interpret {type(channel).__name__} as a channel")
-
 
 def diagonal_channel_disturbance_exact(ins: Instrument) -> float:
     """Exact worst-case trace-norm disturbance for diagonal Kraus pairs:
@@ -284,10 +275,6 @@ def diagonal_channel_disturbance_exact(ins: Instrument) -> float:
            + ins.k2[0, 0] * np.conj(ins.k2[1, 1]))
     return 0.5 * abs(1.0 - eta)
 
-
-# ---------------------------------------------------------------------------
-# Disturbance
-# ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _quadrature():
@@ -403,12 +390,13 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE,
                          strategy=None) -> ExtremumEstimate:
     """Disturbance of a channel with argmax information.
 
-    ``channel`` may be an :class:`Instrument`, a marginal-channel spec
-    (:class:`~qtradeoff.schemes.MarginalChannelSpec`), or a bare linear
-    callable on 2x2 states.  Every kind reads it once, as its Bloch map
-    (M, t) from four probe states, so a bare callable gets every kind: the
-    diamond kind extends its action on those states linearly.  The channel
-    must be trace-preserving (ValueError otherwise).  ``strategy`` is never
+    ``channel`` is any linear callable on 2x2 states: an
+    :class:`Instrument`, a :class:`~qtradeoff.schemes.MarginalChannelSpec`
+    or a bare function alike (TypeError for anything that is not
+    callable).  Every kind reads it once, as its Bloch map (M, t) from four
+    probe states, so every kind serves every channel: the diamond kind
+    extends its action on those states linearly.  The channel must be
+    trace-preserving (ValueError otherwise).  ``strategy`` is never
     read: no kind searches.  It stays only because the benchmark's diamond
     workload passes a :class:`~qtradeoff.supopt.SupremumStrategy` there
     positionally; removing it waits for a change to the benchmark.
@@ -418,7 +406,12 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE,
     except ValueError as exc:
         raise UnknownKind(f"unknown disturbance measure kind {kind!r}") from exc
 
-    m, t = _bloch_affine(_channel_map(channel))
+    if not callable(channel):
+        raise TypeError(
+            f"cannot interpret {type(channel).__name__} as a channel")
+    # The bound __call__ spares each probe call the type-slot lookup of
+    # calling an instance.
+    m, t = _bloch_affine(channel.__call__)
 
     # T(rho) - rho = ((M - 1) r + t) . sigma / 2 is traceless, with trace
     # norm |(M - 1) r + t| and Hilbert-Schmidt norm that over sqrt(2).

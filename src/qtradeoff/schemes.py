@@ -107,7 +107,8 @@ class SwapParams:
 
 @dataclass(frozen=True)
 class MarginalChannelSpec:
-    """Replacement-form channel T(rho) = weight * rep + (1 - weight) * rho."""
+    """Replacement-form channel T(rho) = weight * rep + (1 - weight) * rho,
+    applied by calling it: ``spec(rho)`` is ``spec.apply(rho)``."""
 
     weight: float
     replacement: np.ndarray
@@ -122,6 +123,8 @@ class MarginalChannelSpec:
         rho = np.asarray(rho, dtype=complex)
         return self.weight * self.replacement * np.trace(rho) \
             + (1.0 - self.weight) * rho
+
+    __call__ = apply
 
 
 # ---------------------------------------------------------------------------

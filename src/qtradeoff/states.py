@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, _as_matrix
+from .qmath import ID2, _as_matrix
 
 __all__ = [
-    "OutsideBall",
     "validate_density",
-    "bloch_to_density",
     "density_to_bloch",
     "linear_pol_state",
     "sm7_state_list",
@@ -27,12 +25,7 @@ __all__ = [
 
 MAXIMALLY_MIXED = 0.5 * ID2
 
-_BALL_TOL = 1e-9
 _DENSITY_TOL = 1e-10
-
-
-class OutsideBall(ValueError):
-    """Raised for Bloch vectors with norm exceeding 1 (beyond tolerance)."""
 
 
 def validate_density(rho, tol=_DENSITY_TOL):
@@ -56,20 +49,9 @@ def validate_density(rho, tol=_DENSITY_TOL):
     return a
 
 
-def bloch_to_density(b):
-    """Map a Bloch vector (x, y, z) to rho = (1 + x sx + y sy + z sz) / 2."""
-    v = np.asarray(b, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"Bloch vector must have 3 components, got shape {v.shape}")
-    r = float(np.linalg.norm(v))
-    if r > 1.0 + _BALL_TOL:
-        raise OutsideBall(f"Bloch vector norm {r} exceeds 1")
-    return 0.5 * (ID2 + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
-
-
 def density_to_bloch(rho):
-    """Bloch vector of a 2x2 state, or vectors (..., 3) of a stack of
-    states (..., 2, 2); inverse of :func:`bloch_to_density`."""
+    """Bloch vector (x, y, z) of a 2x2 state rho = (1 + x sx + y sy +
+    z sz) / 2, or vectors (..., 3) of a stack of states (..., 2, 2)."""
     a = np.asarray(rho, dtype=complex)
     x = 2.0 * a[..., 0, 1].real
     y = -2.0 * a[..., 0, 1].imag

@@ -15,7 +15,6 @@ seeded generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -23,15 +22,16 @@ from . import schemes
 from .experiment import (
     ExperimentConfig,
     InterferometerSetting,
+    _branch_blochs,
     analytic_tradeoff_of_setting,
     estimate_tradeoff,
     simulate_dataset,
 )
-from .instruments import (
-    DiagonalFamilyParams, Instrument, Povm, apply_channel)
+from .instruments import DiagonalFamilyParams, Instrument, Povm
 from .measures import (
     MeasureKind, disturbance, disturbance_estimate, measurement_error)
 from .qmath import ID2, SIGMA_X, dag
+from .states import density_to_bloch, linear_pol_state
 
 __all__ = ["CheckResult", "run_checks"]
 
@@ -244,8 +244,8 @@ def check_axioms(trials=200, seed=4242, tol=1e-6) -> CheckResult:
             worst["delta-diagonal-unitary-invariance"],
             abs(measurement_error(rotated) - d_m))
 
-        fa = partial(apply_channel, _random_instrument(rng))
-        fb = partial(apply_channel, _random_instrument(rng))
+        fa = _random_instrument(rng)
+        fb = _random_instrument(rng)
         da = disturbance(fa)
         db = disturbance(fb)
         dmix = disturbance(lambda rho: lam * fa(rho) + (1 - lam) * fb(rho))
@@ -309,34 +309,28 @@ def check_extremal_states(tol=1e-14) -> CheckResult:
     For beta = 0 instruments the error integrand vanishes at 90 and 270
     degrees and is maximal at 0 and 180; the disturbance integrand
     vanishes at 0 and 180 and peaks at 90.
-    """
-    from .states import density_to_bloch, linear_pol_state
 
+    Both integrands come from one call of the experiment's branch model
+    (:func:`~qtradeoff.experiment._branch_blochs`) over the 360 one-degree
+    angles: with input Bloch vector r = (x, y, z), branch probabilities p_j
+    and branch Bloch vectors b_j, the error is |p_1 - (1 + z)/2| and the
+    disturbance (1/2) |p_1 b_1 + p_2 b_2 - r|, a trace distance.
+    """
+    thetas = np.arange(0.0, 360.0, 1.0)
+    inputs = density_to_bloch(linear_pol_state(thetas))
     worst = 0.0
     for gamma in (0.2, 0.5, 0.8):
-        povm, ins, _ = schemes.scheme_point("optimal", gamma)
-        e1 = povm.e1
-
-        def err_integrand(theta):
-            rho = linear_pol_state(theta)
-            actual = np.einsum("ij,ji->", e1, rho).real
-            ideal = rho[0, 0].real
-            return abs(actual - ideal)
-
-        def dist_integrand(theta):
-            # Trace distance: half the Euclidean distance of Bloch vectors.
-            rho = linear_pol_state(theta)
-            return 0.5 * np.linalg.norm(
-                density_to_bloch(apply_channel(ins, rho) - rho))
-
-        worst = max(worst, err_integrand(90.0), err_integrand(270.0),
-                    dist_integrand(0.0), dist_integrand(180.0))
-        peak_err = max(err_integrand(t) for t in np.arange(0.0, 360.0, 1.0))
-        if not (err_integrand(0.0) >= peak_err - 1e-12
-                and err_integrand(180.0) >= peak_err - 1e-12):
+        blochs, probs = _branch_blochs(
+            schemes.scheme_point("optimal", gamma)[1], thetas)
+        err = np.abs(probs[:, 0] - 0.5 * (1.0 + inputs[:, 2]))
+        outputs = (probs[:, 0, None] * blochs[:, 0]
+                   + probs[:, 1, None] * blochs[:, 1])
+        dist = 0.5 * np.linalg.norm(outputs - inputs, axis=1)
+        # Entry i of each array belongs to the angle of i degrees.
+        worst = max(worst, err[90], err[270], dist[0], dist[180])
+        if not (err[0] >= err.max() - 1e-12 and err[180] >= err.max() - 1e-12):
             worst = max(worst, 1.0)
-        peak_dist = max(dist_integrand(t) for t in np.arange(0.0, 360.0, 1.0))
-        if not dist_integrand(90.0) >= peak_dist - 1e-12:
+        if not dist[90] >= dist.max() - 1e-12:
             worst = max(worst, 1.0)
     return CheckResult("extremal-states", worst < tol, worst, tol)
 

@@ -10,15 +10,36 @@ outputs (multistart candidates derive deterministically from the
 strategy).
 
 No part of the package searches; the tests check the measures against
-these maximizers.  Objectives must be pure functions.
+these maximizers.  Objectives must be pure functions.  The pure states
+they search over and the states of the tests come from the two state
+builders here, :func:`pure_state` and :func:`bloch_to_density`.
 """
 
 import numpy as np
 from scipy.optimize import minimize
 
+from qtradeoff.qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from qtradeoff.supopt import ExtremumEstimate, SupremumStrategy
 
 DEFAULT_STRATEGY = SupremumStrategy()
+
+_BALL_TOL = 1e-9
+
+
+class OutsideBall(ValueError):
+    """Raised for Bloch vectors with norm exceeding 1 (beyond tolerance)."""
+
+
+def bloch_to_density(b):
+    """Map a Bloch vector (x, y, z) to rho = (1 + x sx + y sy + z sz) / 2,
+    the inverse of :func:`qtradeoff.states.density_to_bloch`."""
+    v = np.asarray(b, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"Bloch vector must have 3 components, got shape {v.shape}")
+    r = float(np.linalg.norm(v))
+    if r > 1.0 + _BALL_TOL:
+        raise OutsideBall(f"Bloch vector norm {r} exceeds 1")
+    return 0.5 * (ID2 + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z)
 
 
 def pure_state(theta, phi):

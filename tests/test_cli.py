@@ -164,6 +164,23 @@ def test_sweep_rejects_bad_steps(tmp_path, capsys, caplog):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "eval"])
+def test_unknown_kind_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    # argparse's choices reject the kind before the command runs.
+    ins = tmp_path / "ins.json"
+    ins.write_text(json.dumps({"family": "optimal", "gamma": 0.5}))
+    args = {"sweep": ["--scheme", "optimal", "--steps", "3",
+                      "--out", str(tmp_path / "x.csv")],
+            "eval": ["--instrument", str(ins)]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--kind", "bogus"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 'bogus'" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ins.json"]
+
+
 def test_sweep_rejects_unwritable_path(capsys):
     code, _ = run_cli(capsys, "sweep", "--scheme", "optimal", "--steps", "2",
                       "--out", "/nonexistent-dir/x.csv")

@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import elliprg
 
-from oracles import maximize_over_bipartite_pure_states, maximize_over_pure_states
+from oracles import (
+    bloch_to_density, maximize_over_bipartite_pure_states,
+    maximize_over_pure_states)
 from qtradeoff import verification
 from qtradeoff.instruments import (
     Instrument,
@@ -41,7 +43,6 @@ from qtradeoff.measures import (
     TARGET_POVM,
     _bloch_affine,
     _carlson_rg,
-    _channel_map,
     _dual_bound,
     _worst_trace,
     disturbance_estimate,
@@ -49,7 +50,6 @@ from qtradeoff.measures import (
 )
 from qtradeoff.qmath import SIGMA_X, SIGMA_Y, SIGMA_Z, dag
 from qtradeoff.schemes import MarginalChannelSpec
-from qtradeoff.states import bloch_to_density
 from qtradeoff.supopt import SupremumStrategy
 from qtradeoff.verification import (
     _random_instrument, _random_povm, _random_unitary)
@@ -457,8 +457,7 @@ def reference_dual_bound(j, sigma):
 
 
 def reference_choi(channel):
-    apply2 = _channel_map(channel)
-    return sum(np.kron(apply2(e) - e, e)
+    return sum(np.kron(channel(e) - e, e)
                for e in np.eye(4, dtype=complex).reshape(4, 2, 2))
 
 
@@ -467,7 +466,7 @@ def reference_diamond(channel):
     starts, floor and dual bound, J built from Kronecker products and the
     bound taken one shrink at a time.  Returns (value, upper)."""
     j = reference_choi(channel)
-    r_worst, worst = _worst_trace(*_bloch_affine(_channel_map(channel)))
+    r_worst, worst = _worst_trace(*_bloch_affine(channel))
 
     def neg(c):
         s = np.tensordot(c, LIFTED, 1)

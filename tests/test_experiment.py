@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtradeoff.experiment as experiment
+from oracles import bloch_to_density
 from qtradeoff.experiment import (
     _branch_arrays,
     _branch_blochs,
@@ -36,11 +37,19 @@ from qtradeoff.instruments import (
 )
 from qtradeoff.measures import measurement_error
 from qtradeoff.qmath import ID2, dag
-from qtradeoff.states import bloch_to_density, linear_pol_state, sm7_state_list
+from qtradeoff.states import linear_pol_state, sm7_state_list
 
 
 def setting_for_gamma(gamma):
     return InterferometerSetting(alpha=0.5 * np.arcsin(gamma), phi=0.5 * np.pi)
+
+
+def from_records(config, records):
+    # A dataset holding the given Record objects, in order.
+    records = list(records)
+    return SimulatedDataset(config, *(
+        tuple(getattr(r, f.name) for r in records)
+        for f in dataclasses.fields(Record)))
 
 
 def outcome_probabilities(ins, rho):
@@ -267,8 +276,8 @@ def test_dataset_stores_columns_and_builds_records_on_read():
         assert type(getattr(d, name)) is tuple and len(getattr(d, name)) == 12
     assert d.records == tuple(map(Record, d.theta_deg, d.port, d.basis, d.n_plus,
                                   d.n_minus, d.intensity))
-    assert SimulatedDataset.from_records(cfg, d.records) == d
-    assert SimulatedDataset.from_records(cfg, []).records == ()
+    assert from_records(cfg, d.records) == d
+    assert from_records(cfg, []).records == ()
     with pytest.raises(ValueError, match="columns differ in length"):
         dataclasses.replace(d, intensity=d.intensity[:-1])
 
@@ -351,7 +360,7 @@ def test_reconstruction_equal_counts_gives_maximally_mixed():
             records.append(Record(0.0, port, basis, 500, 500, 1000))
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,),
                            shots_per_basis=1000)
-    blochs, probs = _branch_arrays(SimulatedDataset.from_records(cfg, records))
+    blochs, probs = _branch_arrays(from_records(cfg, records))
     assert np.allclose(bloch_to_density(blochs[0, 0]), 0.5 * ID2, atol=1e-12)
     assert probs[0, 0] == pytest.approx(0.5)
 
@@ -364,7 +373,7 @@ def test_reconstruction_projects_nonphysical_inversion():
             records.append(Record(0.0, port, basis, 999, 1, 1000))
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,),
                            shots_per_basis=1000)
-    blochs, _ = _branch_arrays(SimulatedDataset.from_records(cfg, records))
+    blochs, _ = _branch_arrays(from_records(cfg, records))
     rho = bloch_to_density(blochs[0, 0])
     vals = np.linalg.eigvalsh(rho)
     assert vals.min() >= -1e-12
@@ -381,7 +390,7 @@ def test_reconstruction_insufficient_counts():
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts,
                        match="zero shots in basis 'y' at theta = 0.0, port 1"):
-        _branch_arrays(SimulatedDataset.from_records(cfg, records))
+        _branch_arrays(from_records(cfg, records))
 
 
 def test_reconstruction_missing_basis():
@@ -390,7 +399,7 @@ def test_reconstruction_missing_basis():
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts,
                        match="missing basis 'y' at theta = 0.0, port 1"):
-        _branch_arrays(SimulatedDataset.from_records(cfg, records))
+        _branch_arrays(from_records(cfg, records))
 
 
 @pytest.mark.parametrize("records, message", [
@@ -406,7 +415,7 @@ def test_reconstruction_single_usable_record(records, message):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts, match=message):
-        _branch_arrays(SimulatedDataset.from_records(cfg, records))
+        _branch_arrays(from_records(cfg, records))
 
 
 @pytest.mark.parametrize("records", [[], [Record(45.0, 1, "x", 5, 5, 10)]],
@@ -415,7 +424,7 @@ def test_reconstruction_without_usable_records(records):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts, match=r"^no intensity recorded at theta = 0\.0$"):
-        _branch_arrays(SimulatedDataset.from_records(cfg, records))
+        _branch_arrays(from_records(cfg, records))
 
 
 @pytest.mark.parametrize("drop, dark, message", [
@@ -433,7 +442,7 @@ def test_reconstruction_reports_first_gap(drop, dark, message):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
                            shots_per_basis=100)
     with pytest.raises(InsufficientCounts, match=message):
-        _branch_arrays(SimulatedDataset.from_records(cfg, records))
+        _branch_arrays(from_records(cfg, records))
 
 
 def reference_branch_blochs(ins, thetas):
@@ -507,7 +516,7 @@ def test_branch_arrays_match_per_branch_reference(cfg):
 
 
 def dataset_of(cfg, records):
-    return SimulatedDataset.from_records(cfg, records)
+    return from_records(cfg, records)
 
 
 two_state_cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0, 90.0),
@@ -793,7 +802,7 @@ def reference_json(d):
 
 def hand_built(*records):
     cfg = ExperimentConfig(setting=setting_for_gamma(0.5), thetas=(0.0,))
-    return SimulatedDataset.from_records(cfg, records)
+    return from_records(cfg, records)
 
 
 shot_cfg = ExperimentConfig(setting=setting_for_gamma(0.4), shots_per_basis=200, seed=2)

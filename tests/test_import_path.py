@@ -1,4 +1,5 @@
-"""``import qtradeoff`` and every CLI path stay numpy-only.
+"""``import qtradeoff`` loads only the package root, and every CLI path
+stays numpy-only.
 
 The package's only runtime dependency is numpy; scipy is a test
 dependency of the oracles in ``tests/oracles.py`` and of the reference
@@ -20,8 +21,9 @@ import qtradeoff
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qtradeoff.__file__)))
 
-# `import qtradeoff`, which loads neither the checks of `verify` nor the
-# CLI (both count towards the start-up time of every importer); every
+# `import qtradeoff`, which loads no submodule and no numpy, so that
+# neither the checks of `verify` nor the CLI count towards the start-up
+# time of an importer (ROOT_IMPORT below checks that alone); every
 # non-diamond kind of every sweep scheme, `eval`, and `experiment` on a
 # config whose target fit takes the rim branch (amplitude 1); then the
 # diamond kind through `eval` and `sweep`.  None may load any scipy module.
@@ -59,6 +61,17 @@ print("ok")
 """
 
 
+ROOT_IMPORT = """
+import sys
+import qtradeoff
+loaded = sorted(m for m in sys.modules
+                if m.startswith("qtradeoff.") or m.split(".")[0] == "numpy")
+assert not loaded, loaded
+assert qtradeoff.__version__ == "0.1.0", qtradeoff.__version__
+print("ok")
+"""
+
+
 def run_fresh(args, cwd):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd,
@@ -73,6 +86,12 @@ def test_no_cli_path_loads_scipy(tmp_path):
         "alpha": 0.5 * math.asin(0.999), "phi": 0.5 * math.pi,
         "shots_per_basis": 1000, "seed": 4}))
     proc = run_fresh(["-c", GUARD], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_root_import_loads_no_submodule_and_no_numpy(tmp_path):
+    proc = run_fresh(["-c", ROOT_IMPORT], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import bloch_to_density
 from qtradeoff.instruments import (
     DiagonalFamilyParams,
     Instrument,
@@ -15,7 +16,7 @@ from qtradeoff.instruments import (
     povm_of,
 )
 from qtradeoff.qmath import ID2, dag
-from qtradeoff.states import bloch_to_density, linear_pol_state, validate_density
+from qtradeoff.states import linear_pol_state, validate_density
 
 PROJ_H = np.diag([1.0, 0.0]).astype(complex)
 PROJ_V = np.diag([0.0, 1.0]).astype(complex)

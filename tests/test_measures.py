@@ -3,10 +3,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import maximize_over_pure_states
+from oracles import bloch_to_density, maximize_over_pure_states
 from qtradeoff.instruments import (
     DiagonalFamilyParams,
     OptimalFamilyParams,
+    Povm,
     apply_channel,
     make_diagonal_instrument,
     make_optimal_instrument,
@@ -16,6 +17,7 @@ from qtradeoff.measures import (
     HS_TO_TRACE_NORM_SCALE,
     MeasureKind,
     UnknownKind,
+    _PROBE_STATES,
     diagonal_channel_disturbance_exact,
     disturbance,
     disturbance_estimate,
@@ -24,7 +26,6 @@ from qtradeoff.measures import (
 from qtradeoff.qmath import ID2, SIGMA_X, dag
 from qtradeoff.schemes import (
     MarginalChannelSpec, diagonal_tradeoff_point, optimal_frontier)
-from qtradeoff.states import bloch_to_density
 from qtradeoff.verification import _random_instrument
 from qtradeoff.supopt import SupremumStrategy
 
@@ -216,6 +217,31 @@ def test_diamond_of_bare_callable_equals_its_channel():
         assert bare_est.value == est.value
         assert bare_est.certified_gap == est.certified_gap
         assert est.method == bare_est.method == "certified"
+
+
+def test_channels_are_callables_on_states():
+    # ins(rho) is apply_channel(ins, rho) and spec(rho) is spec.apply(rho),
+    # bit for bit, on the probe states and on random (unnormalised) inputs.
+    rng = np.random.default_rng(5)
+    states = list(_PROBE_STATES)
+    for _ in range(20):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        states += [a @ dag(a) / np.trace(a @ dag(a)).real, a]
+    ins = _random_instrument(rng)
+    spec = MarginalChannelSpec(0.35, bloch_to_density([0.3, -0.4, 0.5]))
+    for rho in states:
+        assert np.array_equal(ins(rho), apply_channel(ins, rho))
+        assert np.array_equal(spec(rho), spec.apply(rho))
+
+
+@pytest.mark.parametrize("channel", [
+    Povm(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), 3])
+def test_disturbance_of_a_non_callable_raises_type_error(channel):
+    name = type(channel).__name__
+    for kind in MeasureKind:
+        with pytest.raises(TypeError,
+                           match=f"cannot interpret {name} as a channel"):
+            disturbance_estimate(channel, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import bloch_to_density
 from qtradeoff.instruments import (
     DiagonalFamilyParams,
     Instrument,
@@ -34,7 +35,7 @@ from qtradeoff.schemes import (
     swap_tradeoff_curve,
     swap_tradeoff_point,
 )
-from qtradeoff.states import bloch_to_density, linear_pol_state
+from qtradeoff.states import linear_pol_state
 
 PROJ_H = np.diag([1.0, 0.0]).astype(complex)
 # |j i><i j| summed: FLIP kron(a, b) FLIP == kron(b, a).

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import pure_state
+from oracles import bloch_to_density, pure_state
 from qtradeoff.qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from qtradeoff.states import (
-    OutsideBall,
-    bloch_to_density,
     density_to_bloch,
     linear_pol_state,
     sm7_state_list,
@@ -18,17 +16,6 @@ PROJ_V = np.diag([0.0, 1.0]).astype(complex)
 
 ball_coord = st.floats(min_value=-1.0, max_value=1.0,
                        allow_nan=False, allow_infinity=False)
-
-
-def test_bloch_to_density_poles_and_center():
-    assert np.allclose(bloch_to_density([0, 0, 1]), PROJ_H)
-    assert np.allclose(bloch_to_density([0, 0, 0]), 0.5 * ID2)
-    assert np.allclose(bloch_to_density([1, 0, 0]), 0.5 * np.ones((2, 2)))
-
-
-def test_bloch_to_density_rejects_outside_ball():
-    with pytest.raises(OutsideBall):
-        bloch_to_density([1.0, 1.0, 0.0])
 
 
 def test_density_to_bloch_examples():

@@ -1,18 +1,35 @@
 """``qtradeoff.supopt`` (the strategy record) and the test oracles in
-``tests/oracles.py`` that take the strategy."""
+``tests/oracles.py``: the maximizers that take the strategy and the state
+builders."""
 
 import numpy as np
 import pytest
 
 from oracles import (
-    maximize_over_bipartite_pure_states, maximize_over_pure_states, pure_state)
+    OutsideBall, bloch_to_density, maximize_over_bipartite_pure_states,
+    maximize_over_pure_states, pure_state)
 from qtradeoff.instruments import OptimalFamilyParams, apply_channel, make_optimal_instrument
-from qtradeoff.qmath import SIGMA_Z
+from qtradeoff.qmath import ID2, SIGMA_Z
 from qtradeoff.states import density_to_bloch
 from qtradeoff.supopt import SupremumStrategy
 
 SMALL = SupremumStrategy(coarse_grid_points=16, refine_iterations=60,
                          tolerance=1e-8, multistarts=4)
+
+
+# ---------------------------------------------------------------------------
+# bloch_to_density
+# ---------------------------------------------------------------------------
+
+def test_bloch_to_density_poles_and_center():
+    assert np.allclose(bloch_to_density([0, 0, 1]), np.diag([1.0, 0.0]))
+    assert np.allclose(bloch_to_density([0, 0, 0]), 0.5 * ID2)
+    assert np.allclose(bloch_to_density([1, 0, 0]), 0.5 * np.ones((2, 2)))
+
+
+def test_bloch_to_density_rejects_outside_ball():
+    with pytest.raises(OutsideBall):
+        bloch_to_density([1.0, 1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from qtradeoff import verification
 from qtradeoff.verification import _AXIOM_TOLS, check_axioms
 
 
@@ -20,6 +22,23 @@ def test_axiom_checker_passes_and_reports():
     assert res.worst == pytest.approx(max(worst.values()), rel=0.05)
     with pytest.raises(KeyError):
         worst["nope"]
+
+
+def test_extremal_states_reads_the_branch_model(monkeypatch):
+    assert verification.check_extremal_states().passed
+    real = verification._branch_blochs
+    calls = []
+
+    def perturbed(ins, thetas):
+        # Tilt every branch state by 1e-6 towards +x.
+        calls.append(len(thetas))
+        blochs, probs = real(ins, thetas)
+        return blochs + np.array([1e-6, 0.0, 0.0]), probs
+
+    monkeypatch.setattr(verification, "_branch_blochs", perturbed)
+    res = verification.check_extremal_states()
+    assert calls == [360] * 3
+    assert not res.passed and res.worst >= 1e-6
 
 
 def test_axiom_checker_rejects_zero_samples():
