@@ -38,13 +38,13 @@ estimate in closed form.
 
 A dataset stores its per-cell records as six parallel columns, one per
 :class:`Record` field; ``records`` builds the record objects only when
-read.  Each stage makes one array pass over all prepared states: one
-batched product for the branch states, one seeding pass for every cell's
-substream, one index parse of the columns into count arrays for the
-tomography, and one template of the whole text for the writer, filled
-by one ``%`` over the values of every column in record order.  Only the
-draws go cell by cell, from one generator whose state is set per cell;
-the streams are bit-identical to
+read.  Each stage makes array passes over all prepared states: one
+batched product for the branch states, one seeding pass per port (each
+mixes the seed anew), one index parse of the columns into count arrays
+for the tomography, and one template of the whole text for the writer,
+filled by one ``%`` over the values of every column in record order.
+Only the draws go cell by cell, from one generator whose state is set
+per cell; the streams are bit-identical to
 ``PCG64(SeedSequence(seed, spawn_key=(i, key)))``, which the reference
 test in ``tests/test_experiment.py`` pins.
 """

@@ -52,12 +52,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .instruments import NORMALIZATION_TOL, Instrument, Povm
-from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, dag
+from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .supopt import ExtremumEstimate
 
 __all__ = [
@@ -451,6 +451,23 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE,
 # for X = c0 1 + c.sigma, and X is S's top-left block.
 _LIFTED = np.kron(ID2, _PAULIS)
 
+# The certificate's shrinks toward I/2, sigma's powers +-1/2, and eps.
+_SHRINKS = 10.0 ** -np.arange(4, 13, 2)[:, None, None]
+_HALF_POWERS = np.array([0.5, -0.5])[:, None, None, None]
+_EPS = math.ulp(1.0)
+
+
+def _diamond_objective(c, j):
+    # -f and its gradient at each row of the (k, 4) stack c (see _diamond),
+    # tr X^2 = 2 c.c: one product builds every S, one eigh every S J S.
+    s = (c @ _LIFTED.reshape(4, 16)).reshape(-1, 4, 4)
+    evals, vecs = np.linalg.eigh(s @ j @ s)
+    n = np.abs(evals).sum(axis=1)[:, None]
+    cc = (c[:, None] @ c[..., None])[:, 0]  # rounds as c @ c does
+    dn = 2.0 * np.einsum("iab,kba->ki", _LIFTED, j @ s @ (
+        vecs * np.sign(evals)[:, None]) @ vecs.conj().swapaxes(1, 2)).real
+    return -n[:, 0] / (4.0 * cc[:, 0]), (2.0 * n * c / cc - dn) / (4.0 * cc)
+
 
 def _dual_bound(j, sigmas):
     # lambda_max(Tr_out Z) per state of the (n, 2, 2) stack, for
@@ -459,38 +476,36 @@ def _dual_bound(j, sigmas):
     # for the computed Z too (see _diamond).
     n = len(sigmas)
     w, u = np.linalg.eigh(sigmas)
-    s, s_inv = np.zeros((2, n, 4, 4), dtype=complex)
-    for blk, p in ((s, 0.5), (s_inv, -0.5)):
-        # 1 (x) sigma^p: sigma^p twice on the diagonal.
-        blk[:, :2, :2] = blk[:, 2:, 2:] = (
-            (u * w[:, None]**p) @ u.conj().swapaxes(1, 2))
+    # 1 (x) sigma^(+-1/2): sigma^(+-1/2) twice on the diagonal.
+    s, s_inv = blocks = np.zeros((2, n, 4, 4), dtype=complex)
+    blocks[..., :2, :2] = blocks[..., 2:, 2:] = (
+        (u * w[:, None]**_HALF_POWERS) @ u.conj().swapaxes(1, 2))
     evals, vecs = np.linalg.eigh(s @ j @ s)
     z = (s_inv @ (vecs * np.maximum(evals, 0.0)[:, None])
          @ vecs.conj().swapaxes(1, 2) @ s_inv)
     lows = np.linalg.eigvalsh(np.concatenate([z - j, z]))[:, 0].reshape(2, n)
     mu = np.maximum(0.0, -lows.min(axis=0))
-    mu += 16.0 * np.finfo(float).eps * (np.linalg.norm(z, axis=(1, 2))
-                                        + np.linalg.norm(j))
+    mu += 16.0 * _EPS * (np.linalg.norm(z, axis=(1, 2)) + np.linalg.norm(j))
     tr_out = np.einsum("nikil->nkl", z.reshape(n, 2, 2, 2, 2))
     return np.linalg.eigvalsh(tr_out)[:, -1] + 2.0 * mu
 
 
-def _bfgs(fun, x):
-    # Minimize fun (returning the value and the gradient) from x: BFGS
-    # with Armijo backtracking and the standard inverse-Hessian update.
-    # Stops on a gradient below 1e-10 in every entry, on a failed line
-    # search, on a step that gains at most 4 eps |f|, or after scipy's
-    # default of 200 iterations per variable.
-    f, g = fun(x)
+def _bfgs(fun, x, f, g):
+    # Minimize from x, with value f and gradient g, where fun maps a stack
+    # of points to their values and gradients: BFGS with Armijo
+    # backtracking and the standard inverse-Hessian update.  Stops on a
+    # gradient below 1e-10 in every entry (so a stationary x costs no call),
+    # on a failed line search, on a step that gains at most 4 eps |f|, or
+    # after scipy's default of 200 iterations per variable.
     h = eye = np.eye(len(x))
     for _ in range(200 * len(x)):
-        if np.max(np.abs(g)) < 1e-10:
+        if np.abs(g).max() < 1e-10:
             break
         p = -h @ g
         slope = g @ p
         step = 1.0
         for _ in range(50):
-            f_new, g_new = fun(x + step * p)
+            (f_new,), (g_new,) = fun((x + step * p)[None])
             if f_new <= f + 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -499,7 +514,7 @@ def _bfgs(fun, x):
         sk, yk = step * p, g_new - g
         gain = f - f_new
         x, f, g = x + sk, f_new, g_new
-        if gain <= 4.0 * np.finfo(float).eps * abs(f):
+        if gain <= 4.0 * _EPS * abs(f):
             break
         sy = sk @ yk
         if sy > 0.0:
@@ -527,7 +542,9 @@ def _diamond(m, t):
     sign matrix of K, finds the maximum from the centre and from the pure
     state that puts the system in the worst single-qubit state (mirrored:
     the complex conjugate), so the value is never below the worst-case
-    trace norm.  ``params`` holds the 8 reals of the maximizing input.
+    trace norm.  One stacked evaluation (:func:`_diamond_objective`)
+    serves both starts; a stationary one costs nothing more.  ``params``
+    holds the 8 reals of the maximizing input.
     The maximum is flat to second order and the solve stops on a 1e-10
     gradient, so the value is fixed to rounding but the argmax only to
     about 1e-7: solvers that agree on the value to 1e-15 return inputs up
@@ -536,10 +553,10 @@ def _diamond(m, t):
 
     ``certified_gap`` is ``upper - value``, ``upper`` the least
     :func:`_dual_bound` over the argmax state shrunk toward I/2 by
-    1e-4 ... 1e-12 (Z needs it invertible), all five shrinks in one
-    stacked evaluation.  ``upper`` includes a rounding allowance: twice
-    the measured shortfall of the computed Z from Z >= J and Z >= 0, plus
-    32 eps (||Z||_F + ||J||_F).
+    1e-4 ... 1e-12 (``_SHRINKS``; Z needs it invertible), all five
+    shrinks in one stacked evaluation.  ``upper`` includes a rounding
+    allowance: twice the measured shortfall of the computed Z from Z >= J
+    and Z >= 0, plus 32 eps (||Z||_F + ||J||_F).
     """
     # J[(a, k), (b, l)] = (1/2) sum_mn (R - 1)_mn sigma_m[a, b] sigma_n[l, k].
     r_minus_1 = np.zeros((4, 4))
@@ -548,24 +565,17 @@ def _diamond(m, t):
                         _PAULIS).reshape(4, 4)
     r_worst, worst = _worst_trace(m, t)
 
-    def neg(c):
-        # -f(c) and its gradient, with tr X^2 = 2 c.c.
-        s = np.tensordot(c, _LIFTED, 1)
-        evals, vecs = np.linalg.eigh(s @ j @ s)
-        n, cc = np.abs(evals).sum(), c @ c
-        dn = 2.0 * np.einsum("kab,ba->k", _LIFTED,
-                             j @ s @ (vecs * np.sign(evals)) @ dag(vecs)).real
-        return -n / (4.0 * cc), (2.0 * n * c / cc - dn) / (4.0 * cc)
-
-    mirrored = 0.5 * np.concatenate([[1.0], r_worst * [1.0, -1.0, 1.0]])
-    c, f = min((_bfgs(neg, c0)
-                for c0 in (np.array([1.0, 0.0, 0.0, 0.0]), mirrored)),
+    # The centre, then the mirrored worst state.
+    starts = np.array([[1.0, 0.0, 0.0, 0.0],
+                       [0.5, *(0.5 * r_worst * [1.0, -1.0, 1.0])]])
+    neg = partial(_diamond_objective, j=j)
+    c, f = min(map(partial(_bfgs, neg), starts, *neg(starts)),
                key=lambda res: res[1])
-    x = np.tensordot(c, _LIFTED, 1)[:2, :2]
+    x = (c @ _LIFTED.reshape(4, 16)).reshape(4, 4)[:2, :2]
     sigma = x @ x / np.trace(x @ x).real
     value = max(-float(f), float(worst))
-    shrinks = 10.0 ** -np.arange(4, 13, 2)[:, None, None]
-    upper = _dual_bound(j, (1.0 - shrinks) * sigma + 0.5 * shrinks * ID2).min()
+    upper = _dual_bound(j, (1.0 - _SHRINKS) * sigma
+                        + 0.5 * _SHRINKS * ID2).min()
     v = x.T.ravel() / np.linalg.norm(x)
     return ExtremumEstimate(np.concatenate([v.real, v.imag]), value,
                             float(upper) - value, "certified")

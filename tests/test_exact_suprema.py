@@ -29,7 +29,7 @@ from scipy.special import elliprg
 from oracles import (
     bloch_to_density, maximize_over_bipartite_pure_states,
     maximize_over_pure_states)
-from qtradeoff import verification
+from qtradeoff import measures, verification
 from qtradeoff.instruments import (
     Instrument,
     OptimalFamilyParams,
@@ -49,7 +49,13 @@ from qtradeoff.measures import (
     measurement_error_estimate,
 )
 from qtradeoff.qmath import SIGMA_X, SIGMA_Y, SIGMA_Z, dag
-from qtradeoff.schemes import MarginalChannelSpec
+from qtradeoff.schemes import (
+    ClonerParams,
+    MarginalChannelSpec,
+    SwapParams,
+    cloner_system_channel_spec,
+    swap_system_channel_spec,
+)
 from qtradeoff.supopt import SupremumStrategy
 from qtradeoff.verification import (
     _random_instrument, _random_povm, _random_unitary)
@@ -555,6 +561,46 @@ def test_stacked_dual_bound_matches_per_shrink_loop(seed, radius):
     loop = np.array([reference_dual_bound(j, x) for x in states])
     assert stacked.shape == loop.shape
     assert np.all(np.abs(stacked - loop) <= 1e-14 * np.abs(loop))
+
+
+def objective_calls(monkeypatch):
+    # The number of rows of every _diamond_objective call, in order.
+    calls = []
+    objective = measures._diamond_objective
+
+    def spy(c, j):
+        calls.append(len(c))
+        return objective(c, j)
+
+    monkeypatch.setattr(measures, "_diamond_objective", spy)
+    return calls
+
+
+@pytest.mark.parametrize("channel", [
+    make_optimal_instrument(OptimalFamilyParams(0.0)),
+    make_optimal_instrument(OptimalFamilyParams(0.37)),
+    make_optimal_instrument(OptimalFamilyParams(1.0)),
+    cloner_system_channel_spec(ClonerParams.from_a2(0.2)),
+    cloner_system_channel_spec(ClonerParams.from_a2(0.8)),
+    swap_system_channel_spec(SwapParams(0.3)),
+    swap_system_channel_spec(SwapParams(1.2)),
+], ids=["optimal-0", "optimal-0.37", "optimal-1", "cloner-0.2",
+        "cloner-0.8", "swap-0.3", "swap-1.2"])
+def test_stationary_starts_cost_one_stacked_evaluation(monkeypatch, channel):
+    # On the benchmark's channels both starts are already stationary: one
+    # evaluation of the two stacked starts and no BFGS iteration.
+    calls = objective_calls(monkeypatch)
+    disturbance_estimate(channel, MeasureKind.DIAMOND)
+    assert calls == [2]
+
+
+def test_iterating_start_takes_single_rows(monkeypatch):
+    # A start that is not stationary iterates on one row at a time, and
+    # the solve still matches the scipy reference.
+    calls = objective_calls(monkeypatch)
+    channel = _random_instrument(np.random.default_rng(0))
+    check_against_reference(channel)
+    assert calls[0] == 2 and len(calls) > 1 and set(calls[1:]) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""``import qtradeoff`` loads only the package root, and every CLI path
-stays numpy-only.
+"""``import qtradeoff`` loads only the package root, every CLI path
+stays numpy-only, and no evaluation loads ``numpy.random``.
 
 The package's only runtime dependency is numpy; scipy is a test
 dependency of the oracles in ``tests/oracles.py`` and of the reference
@@ -72,6 +72,41 @@ print("ok")
 """
 
 
+# Every module of the package, then one diamond evaluation and one point
+# of every scheme under every other kind (a non-unital channel too, for
+# the quadrature), as the benchmark's diamond and curves workloads run
+# them.  None may load numpy.random: it adds about 6 MB of resident
+# memory, against a 5% bound on the benchmark's peak_rss_mb, and only
+# simulate_dataset draws.
+NO_NUMPY_RANDOM = """
+import importlib, pkgutil, sys
+import numpy as np
+import qtradeoff
+for module in pkgutil.iter_modules(qtradeoff.__path__):
+    importlib.import_module("qtradeoff." + module.name)
+from qtradeoff import instruments, measures, schemes
+
+optimal = instruments.make_optimal_instrument(
+    instruments.OptimalFamilyParams(0.37))
+measures.disturbance_estimate(optimal, "diamond")
+channels = [
+    optimal,
+    instruments.make_diagonal_instrument(
+        instruments.DiagonalFamilyParams(0.3, 0.55, 0.4, -1.1)),
+    schemes.cloner_system_channel_spec(schemes.ClonerParams.from_a2(0.4)),
+    schemes.swap_system_channel_spec(schemes.SwapParams(0.7)),
+    schemes.MarginalChannelSpec(0.5, np.diag([1.0, 0.0])),
+]
+for kind in measures.MeasureKind:
+    if kind is not measures.MeasureKind.DIAMOND:
+        for channel in channels:
+            measures.disturbance_estimate(channel, kind)
+measures.measurement_error_estimate(instruments.povm_of(optimal))
+assert "numpy.random" not in sys.modules
+print("ok")
+"""
+
+
 def run_fresh(args, cwd):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd,
@@ -92,6 +127,12 @@ def test_no_cli_path_loads_scipy(tmp_path):
 
 def test_root_import_loads_no_submodule_and_no_numpy(tmp_path):
     proc = run_fresh(["-c", ROOT_IMPORT], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_no_evaluation_loads_numpy_random(tmp_path):
+    proc = run_fresh(["-c", NO_NUMPY_RANDOM], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
 
