@@ -34,7 +34,8 @@ Kraus pairs at phi and fl(phi + pi) differ in the last bits, which can
 flip a binomial draw at probability 1/2 and change the number of draws
 rejection sampling consumes.  The one estimator, :func:`estimate_tradeoff`,
 is a pure function of a dataset; it fits the target curve of the error
-estimate in closed form.
+estimate in closed form and reports each maximum through :func:`_peak`;
+its disturbance integrand, :func:`_disturbances`, is shared with ``verify``.
 
 A dataset stores its per-cell records as six parallel columns, one per
 :class:`Record` field; ``records`` builds the record objects only when
@@ -62,6 +63,7 @@ import numpy as np
 
 from .instruments import Instrument, _json_number, povm_of
 from .measures import (
+    _check_unit_interval,
     _sphere_argmax,
     diagonal_channel_disturbance_exact,
     measurement_error,
@@ -213,11 +215,6 @@ class SimulatedDataset:
         return tuple(map(Record, *attrgetter(*_FIELDS)(self)))
 
 
-def _dataset_from_rows(config, rows):
-    # Rows are tuples of the six field values of one record.
-    return SimulatedDataset(config, *(list(zip(*rows)) or [()] * len(_FIELDS)))
-
-
 @dataclass(frozen=True)
 class EstimatedTradeoff:
     delta_hat: float
@@ -225,10 +222,7 @@ class EstimatedTradeoff:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (-1e-12 <= self.delta_hat <= 1.0 + 1e-12):
-            raise ValueError(f"delta_hat = {self.delta_hat} outside [0, 1]")
-        if not (-1e-12 <= self.Delta_hat <= 1.0 + 1e-12):
-            raise ValueError(f"Delta_hat = {self.Delta_hat} outside [0, 1]")
+        _check_unit_interval(self, "delta_hat", "Delta_hat")
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +537,6 @@ def _branch_arrays(d: SimulatedDataset):
 # Estimation
 # ---------------------------------------------------------------------------
 
-def _target_model(thetas_deg, theta0_deg, amplitude):
-    ang = np.deg2rad(np.asarray(thetas_deg) - theta0_deg)
-    return 0.5 * (1.0 + amplitude * np.cos(ang))
-
-
 def _fit_target(thetas_deg, p1_hat):
     """Locate the target-measurement orientation theta0.
 
@@ -597,35 +586,20 @@ def _parabola_near_max(thetas, values, window_deg=25.0):
     }
 
 
-def _delta_from_branches(d, probs):
-    thetas = np.asarray(d.config.thetas)
-    p1_hat = probs[:, 0]
-    theta0, amp = _fit_target(thetas, p1_hat)
-    ref_amp = amp if d.config.fit_amplitude else 1.0
-    devs = np.abs(p1_hat - _target_model(thetas, theta0, ref_amp))
-    i_max = int(np.argmax(devs))
-    diag = {
-        "theta0_deg": theta0,
-        "amplitude": amp,
-        "argmax_theta_deg": float(thetas[i_max]),
-        "parabola": _parabola_near_max(thetas, devs),
-    }
-    return float(devs[i_max]), diag
+def _peak(thetas, values, **diag):
+    """The largest of ``values``, and ``diag`` plus its angle and parabola."""
+    i_max = int(np.argmax(values))
+    diag["argmax_theta_deg"] = float(thetas[i_max])
+    diag["parabola"] = _parabola_near_max(thetas, values)
+    return float(values[i_max]), diag
 
 
-def _Delta_from_branches(d, blochs, probs):
-    thetas = np.asarray(d.config.thetas)
+def _disturbances(thetas, blochs, probs):
+    """Per angle (degrees), the trace distance of p1 b1 + p2 b2 from the
+    input state: half the Euclidean distance of the Bloch vectors."""
     inputs = density_to_bloch(linear_pol_state(thetas))
     outputs = probs[:, 0, None] * blochs[:, 0] + probs[:, 1, None] * blochs[:, 1]
-    # The trace distance of two qubit states is half the Euclidean
-    # distance of their Bloch vectors.
-    dists = 0.5 * np.linalg.norm(outputs - inputs, axis=1)
-    i_max = int(np.argmax(dists))
-    diag = {
-        "argmax_theta_deg": float(thetas[i_max]),
-        "parabola": _parabola_near_max(thetas, dists),
-    }
-    return float(dists[i_max]), diag
+    return 0.5 * np.linalg.norm(outputs - inputs, axis=1)
 
 
 def estimate_tradeoff(d: SimulatedDataset) -> EstimatedTradeoff:
@@ -639,14 +613,20 @@ def estimate_tradeoff(d: SimulatedDataset) -> EstimatedTradeoff:
     orientation theta0 of the closed-form fit :func:`_fit_target`; with
     ``fit_amplitude`` set, the curve keeps the fitted amplitude (a
     diagnostic mode).  ``Delta_hat`` is the largest trace distance of the
-    intensity-weighted sum of the branch states from the input state.  A
-    parabola around each maximum (:func:`_parabola_near_max`) reports the
-    vertex-vs-sample gap, which bounds the finite-sampling systematic.
-    Raises :class:`InsufficientCounts` where a state lacks counts.
+    weighted branch sum from the input (:func:`_disturbances`).  Each
+    maximum comes from :func:`_peak`, with a parabola around it whose
+    vertex-vs-sample gap bounds the finite-sampling systematic.  Raises
+    :class:`InsufficientCounts` where a state lacks counts.
     """
     blochs, probs = _branch_arrays(d)
-    delta_hat, ddiag = _delta_from_branches(d, probs)
-    Delta_hat, Ddiag = _Delta_from_branches(d, blochs, probs)
+    thetas = np.asarray(d.config.thetas)
+    p1_hat = probs[:, 0]
+    theta0, amp = _fit_target(thetas, p1_hat)
+    ref_amp = amp if d.config.fit_amplitude else 1.0
+    target = 0.5 * (1.0 + ref_amp * np.cos(np.deg2rad(thetas - theta0)))
+    delta_hat, ddiag = _peak(thetas, np.abs(p1_hat - target),
+                             theta0_deg=theta0, amplitude=amp)
+    Delta_hat, Ddiag = _peak(thetas, _disturbances(thetas, blochs, probs))
     return EstimatedTradeoff(delta_hat, Delta_hat,
                              {"delta": ddiag, "Delta": Ddiag})
 
@@ -795,4 +775,4 @@ def dataset_from_json(text: str) -> SimulatedDataset:
         for name, value in zip(_FIELDS[3:], counts):
             _json_number(value, f"records[{i}].{name}", lo=0.0)
         checked.append((theta, port, basis, *counts))
-    return _dataset_from_rows(cfg, checked)
+    return SimulatedDataset(cfg, *(list(zip(*checked)) or [()] * len(_FIELDS)))

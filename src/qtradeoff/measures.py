@@ -105,10 +105,14 @@ class TradeoffPoint:
     Delta: float
 
     def __post_init__(self):
-        if not (-1e-12 <= self.delta <= 1.0 + 1e-12):
-            raise ValueError(f"delta = {self.delta} outside [0, 1]")
-        if not (-1e-12 <= self.Delta <= 1.0 + 1e-12):
-            raise ValueError(f"Delta = {self.Delta} outside [0, 1]")
+        _check_unit_interval(self, "delta", "Delta")
+
+
+def _check_unit_interval(obj, *names):
+    # Each named field of obj in [0, 1], with 1e-12 slack for rounding.
+    for name in names:
+        if not (-1e-12 <= getattr(obj, name) <= 1.0 + 1e-12):
+            raise ValueError(f"{name} = {getattr(obj, name)} outside [0, 1]")
 
 
 # ---------------------------------------------------------------------------

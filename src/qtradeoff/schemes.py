@@ -172,6 +172,15 @@ swap_system_channel_spec = cloner_system_channel_spec
 swap_induced_povm = cloner_induced_povm
 
 
+def _curve(delta, below_half):
+    # A tradeoff curve: below_half(delta) below 1/2, 0 from there to 1.
+    if not (0.0 <= delta <= 1.0):
+        raise ValueError(f"delta = {delta} outside [0, 1]")
+    if delta >= 0.5:
+        return 0.0
+    return below_half(delta)
+
+
 # ---------------------------------------------------------------------------
 # Optimal universal asymmetric cloner
 # ---------------------------------------------------------------------------
@@ -183,11 +192,7 @@ def cloner_tradeoff_point(p: ClonerParams) -> TradeoffPoint:
 
 def cloner_tradeoff_curve(delta: float) -> float:
     """Cloner disturbance as a function of its measurement error."""
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"delta = {delta} outside [0, 1]")
-    if delta >= 0.5:
-        return 0.0
-    return 0.25 * (np.sqrt(2.0 - 3.0 * delta) - np.sqrt(delta)) ** 2
+    return _curve(delta, lambda d: 0.25 * (np.sqrt(2.0 - 3.0 * d) - np.sqrt(d)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +207,7 @@ def swap_tradeoff_point(p: SwapParams) -> TradeoffPoint:
 
 def swap_tradeoff_curve(delta: float) -> float:
     """Swap disturbance as a function of its measurement error."""
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"delta = {delta} outside [0, 1]")
-    if delta >= 0.5:
-        return 0.0
-    return 0.5 - delta
+    return _curve(delta, lambda d: 0.5 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +216,7 @@ def swap_tradeoff_curve(delta: float) -> float:
 
 def optimal_frontier(delta: float) -> float:
     """Tight lower bound on the disturbance at measurement error delta."""
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError(f"delta = {delta} outside [0, 1]")
-    if delta >= 0.5:
-        return 0.0
-    return 0.5 * (np.sqrt(1.0 - delta) - np.sqrt(delta)) ** 2
+    return _curve(delta, lambda d: 0.5 * (np.sqrt(1.0 - d) - np.sqrt(d)) ** 2)
 
 
 # ---------------------------------------------------------------------------

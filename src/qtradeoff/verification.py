@@ -23,6 +23,7 @@ from .experiment import (
     ExperimentConfig,
     InterferometerSetting,
     _branch_blochs,
+    _disturbances,
     analytic_tradeoff_of_setting,
     estimate_tradeoff,
     simulate_dataset,
@@ -57,9 +58,16 @@ class CheckResult:
         return msg
 
 
+def _require_samples(name, n):
+    # A sampled check that samples nothing would pass having checked nothing.
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 def check_optimal_frontier(points=101, tol=1e-6,
                            frontier_fn=None) -> CheckResult:
     """Exact (delta, Delta) of the optimal family lies on the frontier."""
+    _require_samples("points", points)
     frontier = frontier_fn or schemes.optimal_frontier
     worst = 0.0
     for gamma in np.linspace(0.0, 1.0, points):
@@ -73,6 +81,7 @@ def check_optimal_frontier(points=101, tol=1e-6,
 
 def check_cloner_curve(points=101, tol=1e-6) -> CheckResult:
     """Cloner closed forms match the exact suprema on the induced pair."""
+    _require_samples("points", points)
     worst = 0.0
     for a2 in np.linspace(0.0, 1.0, points):
         povm, channel, pt = schemes.scheme_point("cloner", float(a2))
@@ -86,6 +95,7 @@ def check_cloner_curve(points=101, tol=1e-6) -> CheckResult:
 
 def check_swap_line(points=101, tol=1e-6) -> CheckResult:
     """Swap closed forms match the exact suprema; delta + Delta = 1/2."""
+    _require_samples("points", points)
     worst = 0.0
     closed_worst = 0.0
     for t in np.linspace(0.0, 0.5 * np.pi, points):
@@ -108,10 +118,9 @@ def check_dominance(margin=1e-4, frontier_fn=None) -> CheckResult:
 
     # Tightness: the optimal family's closed-form points must sit on the
     # frontier essentially exactly.
-    tight_worst = 0.0
-    for gamma in np.linspace(0.0, 1.0, 101):
-        pt = schemes.scheme_point("optimal", float(gamma))[2]
-        tight_worst = max(tight_worst, abs(pt.Delta - frontier(pt.delta)))
+    points = (schemes.scheme_point("optimal", float(g))[2]
+              for g in np.linspace(0.0, 1.0, 101))
+    tight_worst = max(abs(pt.Delta - frontier(pt.delta)) for pt in points)
     tight_ok = tight_worst < 1e-12
 
     grid = np.round(np.arange(0.01, 0.495, 0.01), 10)
@@ -142,6 +151,7 @@ def check_no_go(n=1000, seed=20260809, slack=1e-7, frontier_fn=None) -> CheckRes
     :func:`~qtradeoff.schemes.diagonal_tradeoff_point`, so the check
     covers the full family including phases.
     """
+    _require_samples("n", n)
     frontier = frontier_fn or schemes.optimal_frontier
     rng = np.random.default_rng(seed)
     worst = -np.inf
@@ -159,6 +169,7 @@ def check_no_go(n=1000, seed=20260809, slack=1e-7, frontier_fn=None) -> CheckRes
 def check_diamond_equality(points=11, tol=1e-4) -> CheckResult:
     """Diamond-norm disturbance equals the trace-norm value on the
     optimal family, and so does its certified upper bound."""
+    _require_samples("points", points)
     worst = 0.0
     for gamma in np.linspace(0.0, 1.0, points):
         ins = schemes.scheme_point("optimal", float(gamma))[1]
@@ -216,8 +227,7 @@ def check_axioms(trials=200, seed=4242, tol=1e-6) -> CheckResult:
     diagonal unitary; convexity of Delta under channel mixing; invariance
     of Delta under a random change of basis.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _require_samples("trials", trials)
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in _AXIOM_TOLS}
 
@@ -276,9 +286,10 @@ def check_pipeline(gammas=(0.2, 0.5, 0.8), exact_tol=1e-6, shot_tol=3e-3,
     to ``exact_tol``; with ``shots`` samples per basis, at least
     ``success_fraction`` of seeded runs must land within ``shot_tol``.
     """
+    total_runs = len(gammas) * n_seeds
+    _require_samples("len(gammas) * n_seeds", total_runs)
     worst_exact = 0.0
     ok_runs = 0
-    total_runs = 0
     for gamma in gammas:
         s = _setting_for_gamma(gamma)
         d_ref, dd_ref = analytic_tradeoff_of_setting(s)
@@ -289,7 +300,6 @@ def check_pipeline(gammas=(0.2, 0.5, 0.8), exact_tol=1e-6, shot_tol=3e-3,
         base = ExperimentConfig(setting=s, shots_per_basis=shots)
         for seed in range(n_seeds):
             est = estimate_tradeoff(simulate_dataset(replace(base, seed=seed)))
-            total_runs += 1
             if (abs(est.delta_hat - d_ref) <= shot_tol
                     and abs(est.Delta_hat - dd_ref) <= shot_tol):
                 ok_runs += 1
@@ -312,25 +322,22 @@ def check_extremal_states(tol=1e-14) -> CheckResult:
 
     Both integrands come from one call of the experiment's branch model
     (:func:`~qtradeoff.experiment._branch_blochs`) over the 360 one-degree
-    angles: with input Bloch vector r = (x, y, z), branch probabilities p_j
-    and branch Bloch vectors b_j, the error is |p_1 - (1 + z)/2| and the
-    disturbance (1/2) |p_1 b_1 + p_2 b_2 - r|, a trace distance.
+    angles: with input Bloch z-component z and port-1 probability p_1, the
+    error is |p_1 - (1 + z)/2|; the disturbance is the estimator's trace
+    distance, :func:`~qtradeoff.experiment._disturbances`.
     """
     thetas = np.arange(0.0, 360.0, 1.0)
-    inputs = density_to_bloch(linear_pol_state(thetas))
+    z = density_to_bloch(linear_pol_state(thetas))[:, 2]
     worst = 0.0
     for gamma in (0.2, 0.5, 0.8):
         blochs, probs = _branch_blochs(
             schemes.scheme_point("optimal", gamma)[1], thetas)
-        err = np.abs(probs[:, 0] - 0.5 * (1.0 + inputs[:, 2]))
-        outputs = (probs[:, 0, None] * blochs[:, 0]
-                   + probs[:, 1, None] * blochs[:, 1])
-        dist = 0.5 * np.linalg.norm(outputs - inputs, axis=1)
+        err = np.abs(probs[:, 0] - 0.5 * (1.0 + z))
+        dist = _disturbances(thetas, blochs, probs)
         # Entry i of each array belongs to the angle of i degrees.
         worst = max(worst, err[90], err[270], dist[0], dist[180])
-        if not (err[0] >= err.max() - 1e-12 and err[180] >= err.max() - 1e-12):
-            worst = max(worst, 1.0)
-        if not dist[90] >= dist.max() - 1e-12:
+        if not (err[0] >= err.max() - 1e-12 and err[180] >= err.max() - 1e-12
+                and dist[90] >= dist.max() - 1e-12):
             worst = max(worst, 1.0)
     return CheckResult("extremal-states", worst < tol, worst, tol)
 
@@ -356,32 +363,21 @@ def check_parabolic_systematic(gamma=0.5, shots=10**8, seed=11, tol=1e-3) -> Che
 
 
 def run_checks(level="quick"):
-    """Run the verification suite; `quick` trims sample counts to stay
-    interactive, `full` runs the acceptance-grade variants including the
-    diamond-norm equality and the Monte-Carlo pipeline closure."""
-    if level == "quick":
-        results = [
-            check_optimal_frontier(points=21),
-            check_cloner_curve(points=11),
-            check_swap_line(points=11),
-            check_dominance(),
-            check_no_go(n=200),
-            check_extremal_states(),
-            check_axioms(trials=25),
-        ]
-    elif level == "full":
-        results = [
-            check_optimal_frontier(points=101),
-            check_cloner_curve(points=101),
-            check_swap_line(points=101),
-            check_dominance(),
-            check_no_go(n=1000),
-            check_extremal_states(),
-            check_axioms(trials=200),
-            check_diamond_equality(points=11),
-            check_pipeline(),
-            check_parabolic_systematic(),
-        ]
-    else:
+    """Run the verification suite: `quick` with interactive sample counts,
+    `full` with acceptance-grade ones and three checks more."""
+    if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
+    full = level == "full"
+    results = [
+        check_optimal_frontier(points=101 if full else 21),
+        check_cloner_curve(points=101 if full else 11),
+        check_swap_line(points=101 if full else 11),
+        check_dominance(),
+        check_no_go(n=1000 if full else 200),
+        check_extremal_states(),
+        check_axioms(trials=200 if full else 25),
+    ]
+    if full:
+        results += [check_diamond_equality(points=11), check_pipeline(),
+                    check_parabolic_systematic()]
     return results
