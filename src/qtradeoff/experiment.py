@@ -569,7 +569,8 @@ def _parabola_near_max(thetas, values, window_deg=25.0):
     thetas = np.asarray(thetas)
     values = np.asarray(values)
     i_max = int(np.argmax(values))
-    mask = np.abs(thetas - thetas[i_max]) <= window_deg
+    with np.errstate(over="ignore"):  # inf lies outside the window
+        mask = np.abs(thetas - thetas[i_max]) <= window_deg
     if np.count_nonzero(mask) < 3:
         return None
     a, b, c = np.polyfit(thetas[mask], values[mask], 2)
@@ -702,35 +703,35 @@ def dataset_to_json(d: SimulatedDataset) -> str:
     return template % tuple(chain.from_iterable(zip(*columns)))
 
 
-def config_from_dict(obj, path="config") -> ExperimentConfig:
+def config_from_dict(obj) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-style dict with field-path
     error messages.  Only the JSON types are checked here; the ranges are
     those of :class:`InterferometerSetting` and :class:`ExperimentConfig`."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+        raise ValueError("config: expected a JSON object")
 
     def number(name, default=None, required=False):
         if name not in obj:
             if required:
-                raise ValueError(f"{path}.{name}: required field missing")
+                raise ValueError(f"config.{name}: required field missing")
             return default
-        return _json_number(obj[name], f"{path}.{name}")
+        return _json_number(obj[name], f"config.{name}")
 
     alpha = number("alpha", required=True)
     phi = number("phi", required=True)
     thetas = obj.get("thetas")
     if thetas is not None:
         if not isinstance(thetas, list):
-            raise ValueError(f"{path}.thetas: expected a list of numbers")
+            raise ValueError("config.thetas: expected a list of numbers")
         for i, t in enumerate(thetas):
-            _json_number(t, f"{path}.thetas[{i}]")
+            _json_number(t, f"config.thetas[{i}]")
     shots = obj.get("shots_per_basis", 10**6)
     if shots == "exact":
         shots = None
     noise = number("intensity_noise", default=0.0)
     fit_amplitude = obj.get("fit_amplitude", False)
     if not isinstance(fit_amplitude, bool):
-        raise ValueError(f"{path}.fit_amplitude: expected a boolean")
+        raise ValueError("config.fit_amplitude: expected a boolean")
 
     try:
         return ExperimentConfig(setting=InterferometerSetting(alpha, phi),
@@ -738,7 +739,7 @@ def config_from_dict(obj, path="config") -> ExperimentConfig:
                                 intensity_noise=noise, seed=obj.get("seed", 0),
                                 fit_amplitude=fit_amplitude)
     except ValueError as exc:
-        raise ValueError(f"{path}.{exc}") from None
+        raise ValueError(f"config.{exc}") from None
 
 
 def dataset_from_json(text: str) -> SimulatedDataset:
@@ -750,7 +751,7 @@ def dataset_from_json(text: str) -> SimulatedDataset:
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("dataset: expected a JSON object")
-    cfg = config_from_dict(payload.get("config"), "config")
+    cfg = config_from_dict(payload.get("config"))
     rows = payload.get("records", [])
     if not isinstance(rows, list):
         raise ValueError("records: expected a list")

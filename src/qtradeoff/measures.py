@@ -38,7 +38,8 @@ instruments, against a pole-aligned 800 x 1600 reference, and by up to
 diamond kind is a concave maximization over the ancilla state, with the
 Choi matrix built from (M, t), one deterministic BFGS solve in numpy
 whose value comes with a dual upper bound (``method == "certified"``).
-The exact kinds report the maximizing state's Bloch vector as argmax.
+Each estimate is an :class:`ExtremumEstimate`: the value, its argmax
+(the maximizing state's Bloch vector for the exact kinds), gap and method.
 No kind searches, and the package needs numpy alone; the grid plus
 Nelder-Mead maximizers that cross-check every kind are test oracles and
 live with the tests.
@@ -58,11 +59,11 @@ import numpy as np
 
 from .instruments import NORMALIZATION_TOL, Instrument, Povm
 from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .supopt import ExtremumEstimate
 
 __all__ = [
     "UnknownKind",
     "MeasureKind",
+    "ExtremumEstimate",
     "TradeoffPoint",
     "TARGET_POVM",
     "HS_TO_TRACE_NORM_SCALE",
@@ -95,6 +96,27 @@ TARGET_POVM = Povm(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 # ||.||_1 = sqrt(2) ||.||_2 identically.  This is the constant relating
 # the trace-norm and Hilbert-Schmidt disturbance curves.
 HS_TO_TRACE_NORM_SCALE = float(np.sqrt(2.0))
+
+
+@dataclass(frozen=True)
+class ExtremumEstimate:
+    """A value with its argmax, gap and how it was obtained.
+
+    ``params`` is the argmax: the maximizing state's Bloch vector for an
+    exact state supremum, the 8 reals of the bipartite input for the
+    diamond kind, empty for an average, the search point for "numeric".
+    ``method`` is ``"exact"`` (closed-form or secular-equation supremum,
+    or a closed-form average; gap 0), ``"certified"`` (a concave solve;
+    ``value + certified_gap`` is a dual upper bound on the supremum),
+    ``"quadrature"`` (a fixed rule, not a supremum; gap 0) or
+    ``"numeric"`` (the test oracles' scan plus refinement; its gap, the
+    best coarse-scan value minus the refined value, bounds nothing).
+    """
+
+    params: np.ndarray
+    value: float
+    certified_gap: float
+    method: str
 
 
 @dataclass(frozen=True)

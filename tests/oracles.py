@@ -18,8 +18,9 @@ builders here, :func:`pure_state` and :func:`bloch_to_density`.
 import numpy as np
 from scipy.optimize import minimize
 
+from qtradeoff.measures import ExtremumEstimate
 from qtradeoff.qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from qtradeoff.supopt import ExtremumEstimate, SupremumStrategy
+from qtradeoff.supopt import SupremumStrategy
 
 DEFAULT_STRATEGY = SupremumStrategy()
 
@@ -80,7 +81,7 @@ def _multistart(neg, params, vals, extra_starts, s, decode):
         res = _refine(neg, x0, s)
         if -res.fun > best_val:
             best_val, best = float(-res.fun), decode(res.x)
-    return ExtremumEstimate(best, best_val, grid_best - best_val)
+    return ExtremumEstimate(best, best_val, grid_best - best_val, "numeric")
 
 
 def maximize_over_pure_states(f, strategy=None) -> ExtremumEstimate:

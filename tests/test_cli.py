@@ -423,6 +423,16 @@ def test_experiment_rejects_noise_that_overflows_a_count(tmp_path, capsys,
     assert not (tmp_path / "x").exists()
 
 
+def test_experiment_accepts_angles_whose_difference_overflows(tmp_path, capsys):
+    # Finite angles 2e308 apart: their difference overflows to inf, which
+    # lies outside the parabola's window, and warns about nothing.
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(experiment_config(thetas=[1e308, -1e308])))
+    code, _ = run_cli(capsys, "experiment", "--config", str(f),
+                      "--out", str(tmp_path / "x"))
+    assert code == 0
+
+
 @pytest.mark.parametrize("overrides, theta", [
     ({"shots_per_basis": 1, "seed": 3}, "90.0"),
     ({"shots_per_basis": 100, "intensity_noise": 50, "seed": 1}, "100.0"),

@@ -26,7 +26,8 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(qtradeoff.__file__)))
 # time of an importer (ROOT_IMPORT below checks that alone); every
 # non-diamond kind of every sweep scheme, `eval`, and `experiment` on a
 # config whose target fit takes the rim branch (amplitude 1); then the
-# diamond kind through `eval` and `sweep`.  None may load any scipy module.
+# diamond kind through `eval` and `sweep`.  None may load any scipy module,
+# nor `qtradeoff.supopt`, the test oracles' knobs.
 GUARD = """
 import json, sys
 
@@ -41,6 +42,7 @@ from qtradeoff.cli import main
 
 def run(*argv):
     assert main(list(argv)) == 0, argv
+    assert "qtradeoff.supopt" not in sys.modules, argv
 
 kinds = ["worst-case-trace-norm", "worst-case-hilbert-schmidt",
          "worst-case-infidelity", "state-averaged-trace-norm"]
@@ -109,7 +111,7 @@ print("ok")
 
 def run_fresh(args, cwd):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd,
+    return subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
 
