@@ -616,8 +616,10 @@ def estimate_tradeoff(d: SimulatedDataset) -> EstimatedTradeoff:
     diagnostic mode).  ``Delta_hat`` is the largest trace distance of the
     weighted branch sum from the input (:func:`_disturbances`).  Each
     maximum comes from :func:`_peak`, with a parabola around it whose
-    vertex-vs-sample gap bounds the finite-sampling systematic.  Raises
-    :class:`InsufficientCounts` where a state lacks counts.
+    vertex-vs-sample gap bounds the finite-sampling systematic, or None
+    (``null``, no bound) with fewer than three samples within 25 degrees
+    of the maximum: among the default 16 states, a maximum at 270 degrees.
+    Raises :class:`InsufficientCounts` where a state lacks counts.
     """
     blochs, probs = _branch_arrays(d)
     thetas = np.asarray(d.config.thetas)

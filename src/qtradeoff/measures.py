@@ -17,12 +17,12 @@ the worst-case infidelity sup_rho (1 - F(rho, T(rho))^2), and the
 state-averaged trace norm (uniform surface measure over pure states).
 
 Both delta and Delta are convex in rho, so all suprema are taken over
-pure states.  A channel is any callable on 2x2 states, the package's
-instruments and replacement channels included.  Every qubit channel acts
-on Bloch vectors as an affine map r -> M r + t, read from the images of
-I/2 and the Pauli eigenstates, and every effect is c 1 + d . sigma.
-(M, t) is the only form in which any kind sees a channel, so each reads
-it once.  The measurement error and the
+pure states.  A channel is any callable mapping 2x2 states to 2x2
+matrices (ValueError otherwise), instruments and replacement channels
+included.  Each kind reads it once, as its affine map r -> M r + t of
+Bloch vectors, from the images of I/2 and the Pauli eigenstates; every
+effect is c 1 + d . sigma.  Both come from the one Pauli decomposition,
+:func:`~qtradeoff.states.density_to_bloch`.  The measurement error and the
 worst-case trace-norm, Hilbert-Schmidt and infidelity kinds are then the
 maximum of a norm or a quadratic over the unit sphere, solved exactly
 with one 3x3 eigendecomposition and the root of the secular equation,
@@ -59,6 +59,7 @@ import numpy as np
 
 from .instruments import NORMALIZATION_TOL, Instrument, Povm
 from .qmath import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .states import density_to_bloch
 
 __all__ = [
     "UnknownKind",
@@ -149,32 +150,25 @@ _PAULIS = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 _PROBE_STATES = (0.5 * ID2,) + tuple(0.5 * (ID2 + s) for s in _PAULIS[1:])
 
 
-def _pauli_coefficients(x):
-    # x = c 1 + d . sigma for a Hermitian 2x2 x: c = tr(x)/2 and
-    # d_j = tr(sigma_j x)/2, real parts taken.
-    (a, b), (e, f) = x
-    return 0.5 * (a + f).real, 0.5 * np.array(
-        [(b + e).real, (e - b).imag, (a - f).real])
-
-
 def _bloch_affine(apply2):
     """(M, t) with T((1 + r.sigma)/2) = (1 + (M r + t).sigma)/2.
 
     Read from the images of I/2 and the three Pauli eigenstates, the only
     inputs any kind gives the channel, so every linear map works, bare
-    callables included.  Raises ValueError if the map is not
-    trace-preserving to ``NORMALIZATION_TOL``.
+    callables included.  Raises ValueError for an image that is not 2x2
+    (naming its shape) or a map that is not trace-preserving.
     """
-    coeffs = [_pauli_coefficients(np.asarray(apply2(rho), dtype=complex))
-              for rho in _PROBE_STATES]
-    dev = max(abs(2.0 * c - 1.0) for c, _ in coeffs)
+    images = np.array([apply2(rho) for rho in _PROBE_STATES], dtype=complex)
+    if images.shape[1:] != (2, 2):
+        raise ValueError("channel must map 2x2 to 2x2 matrices, got an "
+                         f"image of shape {images.shape[1:]}")
+    dev = np.abs(np.trace(images, axis1=1, axis2=2).real - 1.0).max()
     if not dev <= NORMALIZATION_TOL:
         raise ValueError(
             f"channel is not trace-preserving: |tr T(rho) - 1| = {dev:.3e} "
             f"exceeds {NORMALIZATION_TOL:.0e}")
-    t = 2.0 * coeffs[0][1]
-    m = np.column_stack([2.0 * d - t for _, d in coeffs[1:]])
-    return m, t
+    t, *columns = density_to_bloch(images)
+    return np.column_stack(columns) - t[:, None], t
 
 
 def _sphere_argmax(h, b):
@@ -265,8 +259,9 @@ def measurement_error_estimate(povm: Povm) -> ExtremumEstimate:
     (1/2)(s_1 c_1 + s_2 c_2 + |s_1 d_1 + s_2 d_2|) over the signs s_j,
     which is |c_1| + |d_1| when E'_1 + E'_2 = 1.
     """
-    (c1, d1), (c2, d2) = (_pauli_coefficients(e - t) for e, t in (
-        (povm.e1, TARGET_POVM.e1), (povm.e2, TARGET_POVM.e2)))
+    diffs = np.array([povm.e1 - TARGET_POVM.e1, povm.e2 - TARGET_POVM.e2])
+    c1, c2 = 0.5 * np.trace(diffs, axis1=1, axis2=2).real
+    d1, d2 = 0.5 * density_to_bloch(diffs)
     c, d = max(((s1 * c1 + s2 * c2, s1 * d1 + s2 * d2)
                 for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)),
                key=lambda cd: cd[0] + np.linalg.norm(cd[1]))
@@ -419,10 +414,11 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE,
     ``channel`` is any linear callable on 2x2 states: an
     :class:`Instrument`, a :class:`~qtradeoff.schemes.MarginalChannelSpec`
     or a bare function alike (TypeError for anything that is not
-    callable).  Every kind reads it once, as its Bloch map (M, t) from four
-    probe states, so every kind serves every channel: the diamond kind
-    extends its action on those states linearly.  The channel must be
-    trace-preserving (ValueError otherwise).  ``strategy`` is never
+    callable).  Every kind reads it once, as its Bloch map (M, t) from
+    :func:`~qtradeoff.states.density_to_bloch` of its images of four probe
+    states, so every kind serves every channel: the diamond kind extends
+    its action on those states linearly.  The channel must map 2x2 to 2x2
+    and be trace-preserving (ValueError otherwise).  ``strategy`` is never
     read: no kind searches.  It stays only because the benchmark's diamond
     workload passes a :class:`~qtradeoff.supopt.SupremumStrategy` there
     positionally; removing it waits for a change to the benchmark.

@@ -1,10 +1,11 @@
 """Qubit state representations: density matrices, Bloch vectors, and the
 linearly polarized pure states used by the interferometer simulation.
 
-States are 2x2 complex numpy arrays (rho).  Bloch vectors are length-3
-float arrays with x^2 + y^2 + z^2 <= 1.  Linear polarization angles are
-carried in degrees at the interface and converted internally; the states
-they describe live on the x-z great circle of the Bloch sphere (y = 0).
+States are 2x2 complex numpy arrays (rho) and Bloch vectors length-3
+float arrays with |r| <= 1; :func:`density_to_bloch` is the package's one
+Pauli decomposition of a 2x2 operator.  Linear polarization angles are in
+degrees at the interface; their states lie on the x-z great circle of
+the Bloch sphere (y = 0).
 
 All functions are pure.
 """
@@ -32,9 +33,8 @@ def validate_density(rho, tol=_DENSITY_TOL):
     """Check Hermiticity, unit trace and positivity of a 2x2 state.
 
     Positivity is tested on the Hermitian part h, whose least eigenvalue
-    is the closed form mid - r, mid = (h00 + h11)/2 and r = hypot((h00 -
-    h11)/2, |h01|).  Returns the validated array; raises ValueError on
-    violation.
+    is (tr h - |r|)/2 with r = density_to_bloch(h).  Returns the validated
+    array; raises ValueError on violation.
     """
     a = _as_matrix(rho, "rho")
     if np.linalg.norm(a - a.conj().T) > tol * max(1.0, np.linalg.norm(a)):
@@ -42,21 +42,22 @@ def validate_density(rho, tol=_DENSITY_TOL):
     tr = np.trace(a).real
     if abs(tr - 1.0) > tol:
         raise ValueError(f"density matrix has trace {tr}, expected 1")
-    h = 0.5 * (a + a.conj().T)
-    h00, h11 = h[0, 0].real, h[1, 1].real
-    if 0.5 * (h00 + h11) - np.hypot(0.5 * (h00 - h11), abs(h[0, 1])) < -tol:
+    r = np.linalg.norm(density_to_bloch(0.5 * (a + a.conj().T)))
+    if 0.5 * (tr - r) < -tol:
         raise ValueError("density matrix has a negative eigenvalue")
     return a
 
 
 def density_to_bloch(rho):
-    """Bloch vector (x, y, z) of a 2x2 state rho = (1 + x sx + y sy +
-    z sz) / 2, or vectors (..., 3) of a stack of states (..., 2, 2)."""
+    """Bloch vector r = (x, y, z) of a 2x2 state rho = (1 + r.sigma)/2, or
+    vectors (..., 3) of a stack (..., 2, 2): the one Pauli decomposition,
+    h = (tr(h) 1 + r.sigma)/2 for any Hermitian h (h01 read, not h10)."""
     a = np.asarray(rho, dtype=complex)
-    x = 2.0 * a[..., 0, 1].real
-    y = -2.0 * a[..., 0, 1].imag
-    z = (a[..., 0, 0] - a[..., 1, 1]).real
-    return np.stack([x, y, z], axis=-1)
+    r = np.empty(a.shape[:-2] + (3,))
+    r[..., 0] = 2.0 * a[..., 0, 1].real
+    r[..., 1] = -2.0 * a[..., 0, 1].imag
+    r[..., 2] = (a[..., 0, 0] - a[..., 1, 1]).real
+    return r
 
 
 def linear_pol_state(theta_deg):

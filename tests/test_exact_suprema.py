@@ -18,6 +18,7 @@ dual bound taken one shrink at a time.
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -649,3 +650,75 @@ def test_non_trace_preserving_callable_rejected(kind):
         disturbance_estimate(lambda rho: 0.9 * rho, kind)
     with pytest.raises(ValueError, match="trace-preserving"):
         disturbance_estimate(lambda rho: rho + 1e-9 * np.eye(2), kind)
+
+
+# Linear maps whose images are not 2x2 matrices: the shape each returns.
+NOT_2X2 = {
+    (2, 2, 1): lambda rho: np.asarray(rho)[..., None],
+    (1, 2, 2): lambda rho: np.asarray(rho)[None],
+    (3, 3): lambda rho: np.trace(rho) * np.eye(3) / 3.0,
+    (4,): lambda rho: np.asarray(rho).ravel(),
+    (): lambda rho: np.trace(rho),
+}
+
+
+@pytest.mark.parametrize("kind", list(MeasureKind))
+@pytest.mark.parametrize("shape", list(NOT_2X2), ids=str)
+def test_non_2x2_image_rejected_naming_its_shape(kind, shape):
+    with pytest.raises(ValueError, match=re.escape(f"of shape {shape}")):
+        disturbance_estimate(NOT_2X2[shape], kind)
+
+
+@pytest.mark.parametrize("kind", list(MeasureKind))
+def test_nested_list_image_accepted(kind):
+    as_list = disturbance_estimate(lambda rho: np.asarray(rho).tolist(), kind)
+    as_array = disturbance_estimate(lambda rho: np.asarray(rho), kind)
+    assert as_list.value == as_array.value
+
+
+def transfer_matrix(kraus):
+    # R_mn = (1/2) sum_j tr(sigma_m K_j sigma_n K_j^dag), sigma_0 = 1: the
+    # Pauli transfer matrix [[1, 0], [t, M]], from the Kraus operators alone.
+    paulis = (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)
+    return np.array([[0.5 * sum(np.trace(sm @ k @ sn @ dag(k)) for k in kraus)
+                      for sn in paulis] for sm in paulis]).real
+
+
+def replacement_kraus(spec):
+    # sqrt(1 - w) 1 and sqrt(w p_a) |a><i| for the eigenpairs (p_a, |a>) of
+    # the replacement state.
+    p, vecs = np.linalg.eigh(spec.replacement)
+    return [math.sqrt(1.0 - spec.weight) * np.eye(2)] + [
+        math.sqrt(spec.weight * max(p_a, 0.0)) * np.outer(a, e_i)
+        for p_a, a in zip(p, vecs.T) for e_i in np.eye(2)]
+
+
+def amplitude_damping_kraus(g):
+    return [np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - g)]]),
+            np.array([[0.0, math.sqrt(g)], [0.0, 0.0]])]
+
+
+def kraus_channel(kraus):
+    return lambda rho: sum(k @ rho @ dag(k) for k in kraus)
+
+
+CHANNELS_WITH_KRAUS = [
+    *((ins, [ins.k1, ins.k2]) for ins in (
+        _random_instrument(np.random.default_rng(seed)) for seed in range(5))),
+    *((spec, replacement_kraus(spec)) for spec in (
+        cloner_system_channel_spec(ClonerParams.from_a2(0.4)),
+        MarginalChannelSpec(0.35, bloch_to_density([0.3, -0.5, 0.6])))),
+    *((kraus_channel(k), k) for k in (
+        amplitude_damping_kraus(0.3), amplitude_damping_kraus(1.0))),
+]
+
+
+@pytest.mark.parametrize("channel, kraus", CHANNELS_WITH_KRAUS)
+def test_bloch_affine_matches_kraus_transfer_matrix(channel, kraus):
+    # Both sides are sums of a few products of entries of size at most 1,
+    # so they agree to rounding; 1e-14 leaves about 50 ulps of room.
+    r = transfer_matrix(kraus)
+    np.testing.assert_allclose(r[0], [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+    m, t = _bloch_affine(channel)
+    np.testing.assert_allclose(t, r[1:, 0], rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(m, r[1:, 1:], rtol=0.0, atol=1e-14)

@@ -74,8 +74,8 @@ MANIFEST = {
     "sweep/diagonal/worst-case-infidelity.csv": "e2ca0c4f8cca6a7a7b240d617eb0fe5a9e322883d3acf436ac0eb0830804219d",
     "sweep/diagonal/state-averaged-trace-norm.csv": "036e3ea77e6f6e1e9159508a4418df1509de34b2e38482996b2855f7d616c975",
     "sweep/diagonal/diamond.csv": "58e9be7ab654a5bd9250b4e9b9b191978c1a7f0c3f1f935656880976e0858004",
-    "verify/quick.stdout": "d1e5edf7f67dde37a5f22363744ff515aff7b6b73a3ce9fbeef7cf84e55b3627",
-    "verify/full.stdout": "c2000e24dbdf1ef5e7154bed4234761fef87caca1d45b1b780e7a738d7fea2e0",
+    "verify/quick.stdout": "cc11616c00088744ba53d6265a24c57cba8692b97b8d32f36aceee121a21eda9",
+    "verify/full.stdout": "d879a94779d0bc3c07b0eec74aa10101b55b46cd3a825736f4e02a51fcfd689a",
     "eval/optimal/worst-case-trace-norm.json": "0fc1c262402ce25c79e7ff511522dc38474bb73204cc2e32a86eced071ab92e8",
     "eval/optimal/worst-case-hilbert-schmidt.json": "616af7e33122bad6b0da014484f550ca84a18d795a01888c351425b43b37d975",
     "eval/optimal/worst-case-infidelity.json": "6d4184d1866d60575aa13ee071d2547451511446e89b497f33508fe4561ed6d6",

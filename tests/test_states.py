@@ -128,3 +128,22 @@ def test_validate_density_positivity_matches_numpy_eigenvalues():
             else:
                 with pytest.raises(ValueError, match="negative eigenvalue"):
                     validate_density(rho)
+
+
+@pytest.mark.parametrize("eps, accepted", [(5e-11, True), (2e-10, False)])
+def test_validate_density_positivity_bound_off_the_diagonal(eps, accepted):
+    # U diag(1 + eps, -eps) U^dag with a complex rotation U: the least
+    # eigenvalue -eps lies in the off-diagonal entries, against the
+    # tolerance 1e-10.
+    a, phase = 0.7, np.exp(0.4j)
+    u = np.array([[np.cos(a), -np.conj(phase) * np.sin(a)],
+                  [phase * np.sin(a), np.cos(a)]])
+    rho = u @ np.diag([1.0 + eps, -eps]) @ u.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    assert abs(rho[0, 1]) > 0.4
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(-eps, abs=1e-15)
+    if accepted:
+        np.testing.assert_array_equal(validate_density(rho), rho)
+    else:
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            validate_density(rho)
