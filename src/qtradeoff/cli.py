@@ -1,7 +1,9 @@
 """Command-line interface: parameter sweeps, single-instrument evaluation,
 experiment simulation, and the verification suite.
 
-Exit codes: 0 success, 2 input error, 3 verification failure.  Every run
+Exit codes: 0 success, 2 input error, 3 verification failure.  A config
+or descriptor field the command does not read, or a config whose
+``convention`` is not ours, is an input error naming the field.  Every run
 logs its command and settings to stderr; no measure depends on a
 search strategy or a seed.  The environment variable ``QTRADEOFF_SEED``
 overrides config seeds for reproducibility audits.

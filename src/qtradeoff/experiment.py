@@ -40,12 +40,14 @@ its disturbance integrand, :func:`_disturbances`, is shared with ``verify``.
 A dataset stores its per-cell records as six parallel columns, one per
 :class:`Record` field; ``records`` builds the record objects only when
 read.  Each stage makes array passes over all prepared states: one
-batched product for the branch states, one seeding pass per port (each
-mixes the seed anew), one index parse of the columns into count arrays
-for the tomography, and one template of the whole text for the writer,
-filled by one ``%`` over the values of every column in record order.
-Only the draws go cell by cell, from one generator whose state is set
-per cell; the streams are bit-identical to
+batched product for the branch states, one seeding pass per port, one
+index parse of the columns into count arrays for the tomography, and one
+template of the whole text for the writer, filled by one ``%`` over the
+values of every column in record order.  A seeding pass takes the pool
+of the run entropy from numpy, ``SeedSequence(seed).pool``, and mixes
+the spawn-key words of every cell into it in one array pass.  Only the
+draws go cell by cell, from one generator whose state is set per cell;
+the streams are bit-identical to
 ``PCG64(SeedSequence(seed, spawn_key=(i, key)))``, which the reference
 test in ``tests/test_experiment.py`` pins.
 """
@@ -61,7 +63,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .instruments import Instrument, _json_number, povm_of
+from .instruments import Instrument, _json_number, _reject_unknown_fields, povm_of
 from .measures import (
     _check_unit_interval,
     _sphere_argmax,
@@ -233,38 +235,42 @@ def gamma_beta_from_setting(s: InterferometerSetting):
     """Instrument parameters (gamma, beta) realized by a setting.
 
     beta is evaluated with the two-argument arctangent of the Kraus
-    coefficient components, which stays finite where tan(2 alpha) blows
-    up.  |gamma| <= 1 always; gamma is negative when the phase puts the
-    majority weight on the other port.
+    coefficient components (sin 2a cos phi, cos 2a), which stays finite
+    where tan(2 alpha) blows up.  |gamma| <= 1 always; gamma is negative
+    when the phase puts the majority weight on the other port.
+
+    The components' norm is the coherence amplitude sqrt(1 - gamma^2);
+    below the inputs' rounding it fixes no angle, and beta is 0.0 (at
+    alpha = pi/4, phi = +-pi/2 both components are residues of 6.1e-17).
+    The bound: with u = 2^-53 = eps/2, 2a <= pi and phi are off by at most
+    u pi and u |phi|, and the components' derivatives in each have norm
+    at most 1; evaluating sin, cos and the product adds at most 3 eps in
+    norm.  So u (pi + |phi|) + 3 eps < eps (5 + |phi|/2).
     """
     two_a = 2.0 * s.alpha
     gamma = float(np.sin(two_a) * np.sin(s.phi))
-    beta = float(np.arctan2(np.sin(two_a) * np.cos(s.phi), np.cos(two_a)))
-    return gamma, beta
-
-
-# U = 1 (x) |A><A| - i sigma_z (x) |B><B|, indexed (pol, path, pol, path).
-_INTERACTION = (np.kron(ID2, np.diag([1.0, 0.0]).astype(complex))
-                + np.kron(-1j * SIGMA_Z, np.diag([0.0, 1.0]).astype(complex))
-                ).reshape(2, 2, 2, 2)
+    x, z = np.sin(two_a) * np.cos(s.phi), np.cos(two_a)
+    if math.hypot(x, z) < math.ulp(1.0) * (5.0 + 0.5 * abs(s.phi)):
+        return gamma, 0.0
+    return gamma, float(np.arctan2(x, z))
 
 
 def instrument_from_setting(s: InterferometerSetting) -> Instrument:
     """Kraus pair realized by the interferometer at a given setting.
 
-    K_P = <P| U |phi0> on the path factor; port C (symmetric output) is
-    outcome 1.  The pair is normalized to rounding error and agrees with
-    the optimal family at (gamma, beta) from
-    :func:`gamma_beta_from_setting` up to a global phase per Kraus
+    K_P = <P| U |phi0> on the path factor, one term per path of the bra:
+
+        K_P = <P|A> cos(alpha) 1 + <P|B> e^{i phi} sin(alpha) (-i sigma_z).
+
+    Port C (symmetric output) is outcome 1.  The pair is normalized to
+    rounding error and agrees with the optimal family at (gamma, beta)
+    from :func:`gamma_beta_from_setting` up to a global phase per Kraus
     operator (for gamma >= 0).
     """
-    phi0 = np.array([np.cos(s.alpha), np.exp(1j * s.phi) * np.sin(s.alpha)])
-    kraus = []
-    for port in (1, 2):
-        bra = _PORTS[port]
-        k = np.einsum("r,prqs,s->pq", bra.conj(), _INTERACTION, phi0)
-        kraus.append(k)
-    return Instrument(kraus[0], kraus[1])
+    arm_a = np.cos(s.alpha)
+    arm_b = np.exp(1j * s.phi) * np.sin(s.alpha)
+    return Instrument(*(ca * arm_a * ID2 + cb * arm_b * (-1j * SIGMA_Z)
+                        for ca, cb in _PORTS.values()))
 
 
 def analytic_tradeoff_of_setting(s: InterferometerSetting):
@@ -305,7 +311,7 @@ def _hash_constants(init, mult):
         h = nxt
 
 
-# Both act on Python ints and on unsigned integer arrays, mod 2**32.
+# Both act on unsigned integer arrays, mod 2**32.
 def _hash(value, xor, mult):
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
@@ -330,33 +336,28 @@ def _pcg64_states(seed, indices, key):
     spawn_key=(i, key))`` for each ``i`` of ``indices`` (integers below
     2**32; OverflowError otherwise), as numpy computes them.
 
-    The run entropy (the seed's words padded with zeros to the four-word
-    pool) is the same for every cell, so it is mixed into the pool once,
-    in Python ints.  The spawn-key words follow in one array pass over
-    the indices; then ``generate_state(4, uint64)`` and, in Python ints,
-    PCG64's ``srandom`` step.
+    The run entropy (the seed's words) is the same for every cell, and
+    numpy mixes it into the pool as ``SeedSequence(seed).pool``: one hash
+    per pool word (a missing seed word hashes as 0), twelve for the
+    cross-mixing of the four pool words, and four per seed word past the
+    fourth.  The spawn-key hashes continue that sequence of constants, so
+    they start 16 + 4 max(0, words - 4) steps in.  The spawn-key words
+    are mixed in one array pass over the indices; then
+    ``generate_state(4, uint64)`` and, in Python ints, PCG64's
+    ``srandom`` step.
     """
-    run = _words(seed)
-    run += [0] * (4 - len(run))
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(w, *next(consts)) for w in run[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
-    for w in run[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(w, *next(consts)))
+    start = 16 + 4 * max(0, len(_words(seed)) - 4)
     # Four hashes per spawn-key word, one per pool word; eight for the
     # output words.
-    spawn_consts = np.array(list(islice(consts, 16)), dtype=np.uint64).reshape(4, 4, 2)
+    spawn_consts = np.array(list(islice(_hash_constants(_INIT_A, _MULT_A), start, start + 16)),
+                            dtype=np.uint64).reshape(4, 4, 2)
     out_consts = np.array(list(islice(_hash_constants(_INIT_B, _MULT_B), 8)),
                           dtype=np.uint64)
 
     # One spawn-key word per index: uint32 rejects an index of two words
     # rather than hash only its low word.
     idx = np.asarray(indices, dtype=np.uint32).astype(np.uint64)[:, None]
-    p = np.array(pool, dtype=np.uint64)
+    p = np.random.SeedSequence(seed).pool.astype(np.uint64)
     for w, c in zip([idx] + _words(key), spawn_consts):
         p = _mix(p, _hash(w, *c.T))
     out = _hash(np.tile(p, 2), *out_consts.T)
@@ -660,15 +661,8 @@ _RECORD_JSON = (
 
 
 def _json_value(v):
-    # What the json encoder writes for ints, finite floats (np.float64
-    # included) and strings; anything else goes through json itself,
-    # indented to the depth of a record field.
-    if type(v) is int:
-        return int.__repr__(v)
-    if isinstance(v, float) and math.isfinite(v):
-        return float.__repr__(v)
-    if type(v) is str:
-        return encode_basestring_ascii(v)
+    # The json encoder's text of one value, indented to the depth of a
+    # record field.
     return json.dumps(v, indent=2).replace("\n", "\n      ")
 
 
@@ -708,9 +702,16 @@ def dataset_to_json(d: SimulatedDataset) -> str:
 def config_from_dict(obj) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-style dict with field-path
     error messages.  Only the JSON types are checked here; the ranges are
-    those of :class:`InterferometerSetting` and :class:`ExperimentConfig`."""
+    those of :class:`InterferometerSetting` and :class:`ExperimentConfig`.
+    A field it does not read is rejected, and ``convention``, when given,
+    must be :data:`BS_CONVENTION`: the Kraus pairs are this convention's."""
     if not isinstance(obj, dict):
         raise ValueError("config: expected a JSON object")
+    _reject_unknown_fields(obj, ("alpha", "phi", "convention", "thetas", "shots_per_basis",
+                                 "intensity_noise", "seed", "fit_amplitude"), "config")
+    if obj.get("convention", BS_CONVENTION) != BS_CONVENTION:
+        raise ValueError(f"config.convention: expected {BS_CONVENTION!r}, "
+                         f"got {obj['convention']!r}")
 
     def number(name, default=None, required=False):
         if name not in obj:

@@ -185,6 +185,14 @@ def _json_number(v, where, lo=None, hi=math.inf):
     return f
 
 
+def _reject_unknown_fields(obj, known, where):
+    # The first key of a JSON object that the reader does not read: a
+    # misspelt field would otherwise fall back to its default unseen.
+    for name in obj:
+        if name not in known:
+            raise ValueError(f"{where}.{name}: unknown field")
+
+
 def _descriptor_matrix(obj, path):
     # A [2][2][2] nested list of [re, im] pairs.  Every leaf goes through
     # _json_number, so a string, boolean or null entry is named, not
@@ -211,22 +219,27 @@ def instrument_from_descriptor(desc: dict) -> Instrument:
         {"family": "diagonal", "b1": ., "b2": ., "beta1": ., "beta2": .}
         {"family": "raw", "k1": [[[re, im], ...], ...], "k2": ...}
 
-    Validation errors name the offending field.
+    Validation errors name the offending field, and a field the family
+    does not read is rejected.
     """
     if not isinstance(desc, dict):
         raise ValueError("instrument: expected a JSON object")
     family = desc.get("family")
     if family == "optimal":
+        _reject_unknown_fields(desc, ("family", "gamma", "beta"), "instrument")
         gamma = _json_number(desc.get("gamma"), "instrument.gamma", 0.0, 1.0)
         beta = _json_number(desc.get("beta", 0.0), "instrument.beta")
         return make_optimal_instrument(OptimalFamilyParams(gamma, beta))
     if family == "diagonal":
+        _reject_unknown_fields(desc, ("family", "b1", "b2", "beta1", "beta2"),
+                               "instrument")
         b1 = _json_number(desc.get("b1"), "instrument.b1", 0.0, 1.0)
         b2 = _json_number(desc.get("b2"), "instrument.b2", 0.0, 1.0)
         beta1 = _json_number(desc.get("beta1", 0.0), "instrument.beta1")
         beta2 = _json_number(desc.get("beta2", 0.0), "instrument.beta2")
         return make_diagonal_instrument(DiagonalFamilyParams(b1, b2, beta1, beta2))
     if family == "raw":
+        _reject_unknown_fields(desc, ("family", "k1", "k2"), "instrument")
         if "k1" not in desc or "k2" not in desc:
             raise ValueError("instrument: raw family requires fields k1 and k2")
         k1 = _descriptor_matrix(desc["k1"], "instrument.k1")

@@ -260,8 +260,10 @@ def test_eval_rejects_unnormalized_raw(tmp_path, capsys):
         "k2": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [entry, 0.0]]]},
        "instrument.k2: entry [1][1][0]")
       for entry in ("0.7071067811865476", False, None)),
+    ({"family": "optimal", "gamma": 0.5, "betta": 0.2},
+     "instrument.betta: unknown field"),
 ], ids=["overflowing-raw", "beta-inf", "b1-nan", "beta2-huge", "raw-string",
-        "raw-bool", "raw-null"])
+        "raw-bool", "raw-null", "unknown-field"])
 def test_eval_rejects_unusable_numbers(tmp_path, capsys, caplog, desc, field):
     f = tmp_path / "ins.json"
     f.write_text(json.dumps(desc))
@@ -392,6 +394,8 @@ def test_experiment_config_errors(tmp_path, capsys, caplog):
     ({"seed": "3"}, "config.seed"),
     ({"alpha": 2.0}, "config.alpha"),
     ({"intensity_noise": -0.1}, "config.intensity_noise"),
+    ({"shot_per_basis": 100}, "config.shot_per_basis: unknown field"),
+    ({"convention": "other-bs/phase-in-arm-A"}, "config.convention: expected"),
 ])
 def test_experiment_rejects_unusable_numbers(tmp_path, capsys, caplog,
                                              overrides, field):

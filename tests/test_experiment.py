@@ -36,7 +36,7 @@ from qtradeoff.instruments import (
     povm_of,
 )
 from qtradeoff.measures import measurement_error
-from qtradeoff.qmath import ID2, dag
+from qtradeoff.qmath import ID2, SIGMA_Z, dag
 from qtradeoff.states import linear_pol_state, sm7_state_list
 
 
@@ -71,11 +71,12 @@ def test_gamma_beta_examples():
     assert g == pytest.approx(0.0, abs=1e-12)
     assert b == pytest.approx(np.pi / 3.0, abs=1e-12)
 
-    g, b = gamma_beta_from_setting(InterferometerSetting(np.pi / 4.0, np.pi / 2.0))
-    assert g == pytest.approx(1.0, abs=1e-12)
-    # beta is whatever atan2 gives at the singular point; the vanishing
-    # amplitude makes it irrelevant
-    assert np.isfinite(b)
+    # gamma = +-1: the coherence amplitude vanishes, and atan2 of its two
+    # rounding residues (about 6.1e-17 each) would read as pi/4.
+    for phi, gamma in ((np.pi / 2.0, 1.0), (-np.pi / 2.0, -1.0)):
+        g, b = gamma_beta_from_setting(InterferometerSetting(np.pi / 4.0, phi))
+        assert g == pytest.approx(gamma, abs=1e-12)
+        assert b == 0.0
 
 
 def test_gamma_magnitude_bounded():
@@ -127,6 +128,40 @@ def test_instrument_matches_optimal_family_up_to_phase():
             assert abs(abs(phase) - 1.0) < 1e-10
             assert np.allclose(km, phase * kr, atol=1e-12)
         checked += 1
+
+
+# The interaction U = 1 (x) |A><A| - i sigma_z (x) |B><B|, indexed (pol,
+# path, pol, path), and K_P = <P| U |phi0> as its contraction with the
+# port bra and the path state: the reference construction of the pair.
+REFERENCE_U = (np.kron(ID2, np.diag([1.0, 0.0]).astype(complex))
+               + np.kron(-1j * SIGMA_Z, np.diag([0.0, 1.0]).astype(complex))
+               ).reshape(2, 2, 2, 2)
+REFERENCE_BRAS = (np.array([1.0, 1.0]) / np.sqrt(2.0),
+                  np.array([1.0, -1.0]) / np.sqrt(2.0))
+
+
+def reference_kraus(alpha, phi):
+    phi0 = np.array([np.cos(alpha), np.exp(1j * phi) * np.sin(alpha)])
+    return [np.einsum("r,prqs,s->pq", bra.conj(), REFERENCE_U, phi0)
+            for bra in REFERENCE_BRAS]
+
+
+def kraus_settings():
+    named = [(a, p) for a in (0.0, np.pi / 4.0, np.pi / 2.0)
+             for p in (0.0, np.pi / 2.0, -np.pi / 2.0, 0.9, 1e3)]
+    rng = np.random.default_rng(29)
+    return named + [(rng.uniform(0.0, np.pi / 2.0), rng.uniform(-10.0, 10.0))
+                    for _ in range(2000)]
+
+
+def test_kraus_pair_matches_the_contraction_bit_for_bit():
+    # A last-bit change flips y-basis counts: numpy's binomial mirrors
+    # at p > 0.5, and the y probability sits at 0.5 +- 1e-17 at phi = pi/2.
+    for alpha, phi in kraus_settings():
+        ins = instrument_from_setting(InterferometerSetting(alpha, phi))
+        k1, k2 = reference_kraus(alpha, phi)
+        assert ins.k1.tobytes() == k1.tobytes(), (alpha, phi)
+        assert ins.k2.tobytes() == k2.tobytes(), (alpha, phi)
 
 
 def same_substream(phase_a, phase_b):
@@ -982,6 +1017,37 @@ def test_config_stores_numpy_integers_as_int(name):
     d = simulate_dataset(cfg)
     assert dataset_from_json(dataset_to_json(d)) == d
     assert type(dataclasses.replace(cfg, seed=np.uint32(5)).seed) is int
+
+
+@pytest.mark.parametrize("obj, name", [
+    ({"alpha": 0.3, "phi": 1.5, "shot_per_basis": 100}, "shot_per_basis"),
+    ({"alpha": 0.3, "phi": 1.5, "Seed": 4, "noise": 0.1}, "Seed"),
+    ({"gamma": 0.5, "alpha": 0.3, "phi": 1.5}, "gamma"),
+    ({"phi": 1.5, "theta": [0.0]}, "theta"),
+])
+def test_config_from_dict_rejects_the_first_unknown_field(obj, name):
+    # Unchecked, the misspelt shot count ran the default 10**6 shots.
+    with pytest.raises(ValueError, match=rf"^config\.{name}: unknown field$"):
+        config_from_dict(obj)
+
+
+@pytest.mark.parametrize("convention", ["other-bs/phase-in-arm-A", "", None, 1])
+def test_config_from_dict_rejects_a_foreign_convention(convention):
+    # Another splitter or arm convention realizes other Kraus pairs, so its
+    # counts cannot be analysed as ours.
+    obj = {"alpha": 0.3, "phi": 1.5, "convention": convention}
+    with pytest.raises(ValueError, match=r"^config\.convention: expected "):
+        config_from_dict(obj)
+    text = dataset_to_json(simulate_dataset(ExperimentConfig(
+        setting=InterferometerSetting(0.3, 1.5), thetas=(0.0, 90.0),
+        shots_per_basis=100, seed=1)))
+    payload = json.loads(text)
+    assert payload["config"]["convention"] == experiment.BS_CONVENTION
+    payload["config"]["convention"] = convention
+    with pytest.raises(ValueError, match=r"^config\.convention: "):
+        dataset_from_json(json.dumps(payload))
+    assert config_from_dict(dict(obj, convention=experiment.BS_CONVENTION)) \
+        == config_from_dict({"alpha": 0.3, "phi": 1.5})
 
 
 def test_config_from_dict_field_errors():

@@ -265,8 +265,24 @@ def test_normalization_check_rejects_overflow():
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
                                    10**400], ids=["nan", "inf", "-inf", "1e400"])
 def test_descriptor_rejects_unusable_numbers(family, name, value):
-    desc = {"family": family, "gamma": 0.5, "b1": 0.5, "b2": 0.5, name: value}
+    # Only the family's own fields: any other is rejected as unknown.
+    base = {"optimal": {"gamma": 0.5}, "diagonal": {"b1": 0.5, "b2": 0.5}}[family]
+    desc = {"family": family, **base, name: value}
     with pytest.raises(ValueError, match=rf"^instrument\.{name}: "):
+        instrument_from_descriptor(desc)
+
+
+@pytest.mark.parametrize("desc, name", [
+    ({"family": "optimal", "gamma": 0.5, "gama": 0.1}, "gama"),
+    ({"family": "optimal", "gamma": 0.5, "b1": 0.5}, "b1"),
+    ({"family": "diagonal", "b1": 0.5, "beta": 0.2, "b2": 0.5, "k1": 0}, "beta"),
+    ({"family": "raw", "k1": [], "k2": [], "gamma": 0.5}, "gamma"),
+    ({"beta1": 0.0, "family": "optimal", "gamma": 0.5}, "beta1"),
+])
+def test_descriptor_rejects_the_first_unknown_field(desc, name):
+    # A misspelt or foreign field would otherwise be ignored and its
+    # default used in its place.
+    with pytest.raises(ValueError, match=rf"^instrument\.{name}: unknown field$"):
         instrument_from_descriptor(desc)
 
 

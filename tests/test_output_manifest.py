@@ -103,9 +103,9 @@ MANIFEST = {
     "experiment/fit-amplitude.stdout": "cd3386a98f99a06959fce4a9313add71bbbb2b5f411ef2a4a189214a6fbda103",
     "experiment/fit-amplitude/dataset.json": "65715a204a8df262130890fc834da6c122226066c9579d52e2e8e7e8297e5845",
     "experiment/fit-amplitude/estimate.json": "74aca59c6ff6ed8ee48e00699b0aa412c1328521b563945a73b8ba4528971ee4",
-    "experiment/rim.stdout": "25e2ef6336c0d9d42dc58676937d311d03302d10c497f7763206107af0959794",
+    "experiment/rim.stdout": "59522433d171b9d1e4c487619e340b5007b4b8f664242a73ed608ca45afcbc25",
     "experiment/rim/dataset.json": "fdec41591b14cb3a19c8d6f001f9d8be5679635aacef6517c8ad71e53aae080e",
-    "experiment/rim/estimate.json": "967ac0fad69476044771436090d446980cd4a740e261354e14ca9a047bc23837",
+    "experiment/rim/estimate.json": "c0da3cf4111e4589dad95506536bdbd42efd5efd20a2ce9eae08caaa364e713a",
 }
 
 
