@@ -750,10 +750,12 @@ def dataset_from_json(text: str) -> SimulatedDataset:
     must be finite non-negative numbers; they keep their JSON types.  Ports
     must be the JSON integers 1 or 2, bases the strings x, y or z and
     angles JSON numbers among the config's, with no coercion (a bool is no
-    number); anything else raises ValueError naming the field."""
+    number); anything else, a key the reader does not read included,
+    raises ValueError naming the field."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("dataset: expected a JSON object")
+    _reject_unknown_fields(payload, ("config", "records"), "dataset")
     cfg = config_from_dict(payload.get("config"))
     rows = payload.get("records", [])
     if not isinstance(rows, list):
@@ -761,22 +763,30 @@ def dataset_from_json(text: str) -> SimulatedDataset:
     thetas = set(cfg.thetas)
     checked = []
     for i, r in enumerate(rows):
+        # Each check names the field alone; the record's path is formatted
+        # only when one fails.
         try:
-            theta, port, basis = r["theta_deg"], r["port"], r["basis"]
-            counts = r["n_plus"], r["n_minus"], r["intensity"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"records[{i}]: malformed record") from exc
-        theta = _json_number(theta, f"records[{i}].theta_deg")
-        # 1.0 and True equal 1, so the membership test below needs this.
-        if type(port) is not int:
-            raise ValueError(f"records[{i}].port: expected an integer, "
-                             f"got {port!r}")
-        for name, value, allowed in (("port", port, _PORTS), ("basis", basis, _BASES),
-                                     ("theta_deg", theta, thetas)):
-            if value not in allowed:
-                raise ValueError(f"records[{i}].{name}: unexpected value "
-                                 f"{value!r}")
-        for name, value in zip(_FIELDS[3:], counts):
-            _json_number(value, f"records[{i}].{name}", lo=0.0)
+            try:
+                theta, port, basis = r["theta_deg"], r["port"], r["basis"]
+                counts = r["n_plus"], r["n_minus"], r["intensity"]
+            except (KeyError, TypeError) as exc:
+                raise ValueError(": malformed record") from exc
+            # Every field is present, so a longer record has a field more.
+            if len(r) > len(_FIELDS):
+                _reject_unknown_fields(r, _FIELDS, "")
+            theta = _json_number(theta, ".theta_deg")
+            # 1.0 and True equal 1, so the membership test below needs this.
+            if type(port) is not int:
+                raise ValueError(f".port: expected an integer, got {port!r}")
+            for name, value, allowed in ((".port", port, _PORTS),
+                                         (".basis", basis, _BASES),
+                                         (".theta_deg", theta, thetas)):
+                if value not in allowed:
+                    raise ValueError(f"{name}: unexpected value {value!r}")
+            for name, value in zip((".n_plus", ".n_minus", ".intensity"),
+                                   counts):
+                _json_number(value, name, lo=0.0)
+        except ValueError as exc:
+            raise ValueError(f"records[{i}]{exc}") from exc
         checked.append((theta, port, basis, *counts))
     return SimulatedDataset(cfg, *(list(zip(*checked)) or [()] * len(_FIELDS)))

@@ -64,7 +64,10 @@ def _readonly(a):
 
 
 def apply_channel(ins: Instrument, rho) -> np.ndarray:
-    """Unselected state change: K1 rho K1^dag + K2 rho K2^dag."""
+    """Unselected state change: K1 rho K1^dag + K2 rho K2^dag, of one 2x2
+    state or of each state of a stack (..., 2, 2), which gives the stack of
+    images: ``apply_channel(ins, stack)[i]`` is
+    ``apply_channel(ins, stack[i])`` bit for bit."""
     rho = np.asarray(rho, dtype=complex)
     return ins.k1 @ rho @ dag(ins.k1) + ins.k2 @ rho @ dag(ins.k2)
 
@@ -73,12 +76,15 @@ def apply_channel(ins: Instrument, rho) -> np.ndarray:
 class Instrument:
     """Two-outcome instrument given by a normalized Kraus pair (raises
     :class:`NotNormalized` with the measured deviation otherwise).
-    ``ins(rho)`` applies its channel, :func:`apply_channel`."""
+    ``ins(rho)`` applies its channel, :func:`apply_channel`, to a state or
+    a stack of states."""
 
     k1: np.ndarray
     k2: np.ndarray
 
     __call__ = apply_channel
+    # Read by measures._bloch_affine: one call maps all four probe states.
+    _maps_stacks = True
 
     def __post_init__(self):
         k1 = _readonly(_as_matrix(self.k1, "k1"))

@@ -20,24 +20,27 @@ Both delta and Delta are convex in rho, so all suprema are taken over
 pure states.  A channel is any callable mapping 2x2 states to 2x2
 matrices (ValueError otherwise), instruments and replacement channels
 included.  Each kind reads it once, as its affine map r -> M r + t of
-Bloch vectors, from the images of I/2 and the Pauli eigenstates; every
-effect is c 1 + d . sigma.  Both come from the one Pauli decomposition,
-:func:`~qtradeoff.states.density_to_bloch`.  The measurement error and the
-worst-case trace-norm, Hilbert-Schmidt and infidelity kinds are then the
-maximum of a norm or a quadratic over the unit sphere, solved exactly
-with one 3x3 eigendecomposition and the root of the secular equation,
-found by a safeguarded Newton iteration on phi^(-1/2)
-(``method == "exact"``).  The averaged kind of a unital channel (t = 0)
-is the closed form (1/2) R_G(s_1^2, s_2^2, s_3^2), Carlson's symmetric
-elliptic integral of the singular values of M - 1 (``method ==
-"exact"``).  For t != 0 it is one vectorised 48 x 96 quadrature rule
-(``method == "quadrature"``).  The rule errs where |(M - 1) r + t| has
-a kink or cone off its poles: by up to 7.4e-6 over 300 random
-instruments, against a pole-aligned 800 x 1600 reference, and by up to
-6.3e-6 over 300 random unital channels, which it no longer serves.  The
-diamond kind is a concave maximization over the ancilla state, with the
-Choi matrix built from (M, t), one deterministic BFGS solve in numpy
-whose value comes with a dual upper bound (``method == "certified"``).
+Bloch vectors, from the images of I/2 and the Pauli eigenstates: one
+call on their (4, 2, 2) stack for an Instrument or a MarginalChannelSpec,
+which map stacks of states, and one call per state for a bare callable.
+Every effect is c 1 + d . sigma.  Both come from the one Pauli
+decomposition, :func:`~qtradeoff.states.density_to_bloch`.  The
+measurement error and the worst-case trace-norm, Hilbert-Schmidt and
+infidelity kinds are then the maximum of a norm or a quadratic over the
+unit sphere, solved exactly with one 3x3 eigendecomposition and the root
+of the secular equation, found by a safeguarded Newton iteration on
+phi^(-1/2) (``method == "exact"``).  The averaged kind of a unital
+channel (t = 0) is the closed form (1/2) R_G(s_1^2, s_2^2, s_3^2),
+Carlson's symmetric elliptic integral of the singular values of M - 1
+(``method == "exact"``).  For t != 0 it is one vectorised 48 x 96
+quadrature rule (``method == "quadrature"``).  The rule errs where
+|(M - 1) r + t| has a kink or cone off its poles: by up to 7.4e-6 over
+300 random instruments, against a pole-aligned 800 x 1600 reference, and
+by up to 6.3e-6 over 300 random unital channels, which it no longer
+serves.  The diamond kind is a concave maximization over the ancilla
+state, with the Choi matrix built from (M, t), one deterministic BFGS
+solve in numpy whose value comes with a dual upper bound (``method ==
+"certified"``).
 Each estimate is an :class:`ExtremumEstimate`: the value, its argmax
 (the maximizing state's Bloch vector for the exact kinds), gap and method.
 No kind searches, and the package needs numpy alone; the grid plus
@@ -146,19 +149,29 @@ def _check_unit_interval(obj, *names):
 # lifted basis and the Choi matrix of the diamond kind all derive from it.
 _PAULIS = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-# I/2 followed by the +1 eigenstates of sigma_x, sigma_y and sigma_z.
-_PROBE_STATES = (0.5 * ID2,) + tuple(0.5 * (ID2 + s) for s in _PAULIS[1:])
+# I/2 followed by the +1 eigenstates of sigma_x, sigma_y and sigma_z, as
+# one (4, 2, 2) stack; shared by every call, so frozen.
+_PROBE_STATES = np.stack([0.5 * ID2, *(0.5 * (ID2 + s) for s in _PAULIS[1:])])
+_PROBE_STATES.flags.writeable = False
 
 
-def _bloch_affine(apply2):
+def _bloch_affine(channel):
     """(M, t) with T((1 + r.sigma)/2) = (1 + (M r + t).sigma)/2.
 
     Read from the images of I/2 and the three Pauli eigenstates, the only
-    inputs any kind gives the channel, so every linear map works, bare
-    callables included.  Raises ValueError for an image that is not 2x2
-    (naming its shape) or a map that is not trace-preserving.
+    inputs any kind gives the channel, so every linear map works.  A class
+    that sets ``_maps_stacks`` (Instrument, MarginalChannelSpec) maps the
+    (4, 2, 2) probe stack in one call; a bare callable gets one call per
+    state, since one written for a single matrix (``np.trace(rho)``,
+    ``rho.T``) can map a stack wrongly.  Raises ValueError for an image
+    that is not 2x2 (naming its shape) or a map that is not
+    trace-preserving.
     """
-    images = np.array([apply2(rho) for rho in _PROBE_STATES], dtype=complex)
+    if getattr(channel, "_maps_stacks", False):
+        images = channel(_PROBE_STATES)
+    else:
+        images = np.array([channel(rho) for rho in _PROBE_STATES],
+                          dtype=complex)
     if images.shape[1:] != (2, 2):
         raise ValueError("channel must map 2x2 to 2x2 matrices, got an "
                          f"image of shape {images.shape[1:]}")
@@ -417,11 +430,13 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE,
     callable).  Every kind reads it once, as its Bloch map (M, t) from
     :func:`~qtradeoff.states.density_to_bloch` of its images of four probe
     states, so every kind serves every channel: the diamond kind extends
-    its action on those states linearly.  The channel must map 2x2 to 2x2
-    and be trace-preserving (ValueError otherwise).  ``strategy`` is never
-    read: no kind searches.  It stays only because the benchmark's diamond
-    workload passes a :class:`~qtradeoff.supopt.SupremumStrategy` there
-    positionally; removing it waits for a change to the benchmark.
+    its action on those states linearly.  An Instrument or a spec is
+    called once, on the stack of the four, and a bare function once per
+    state.  The channel must map 2x2 to 2x2 and be trace-preserving
+    (ValueError otherwise).  ``strategy`` is never read: no kind searches.
+    It stays only because the benchmark's diamond workload passes a
+    :class:`~qtradeoff.supopt.SupremumStrategy` there positionally;
+    removing it waits for a change to the benchmark.
     """
     try:
         kind = MeasureKind(kind)
@@ -431,9 +446,7 @@ def disturbance_estimate(channel, kind=MeasureKind.WORST_TRACE,
     if not callable(channel):
         raise TypeError(
             f"cannot interpret {type(channel).__name__} as a channel")
-    # The bound __call__ spares each probe call the type-slot lookup of
-    # calling an instance.
-    m, t = _bloch_affine(channel.__call__)
+    m, t = _bloch_affine(channel)
 
     # T(rho) - rho = ((M - 1) r + t) . sigma / 2 is traceless, with trace
     # norm |(M - 1) r + t| and Hilbert-Schmidt norm that over sqrt(2).

@@ -120,11 +120,17 @@ class MarginalChannelSpec:
             self, "replacement", validate_density(self.replacement))
 
     def apply(self, rho):
+        """T(rho) = weight * tr(rho) * rep + (1 - weight) * rho, of one 2x2
+        state or of each state of a stack (..., 2, 2), the trace taken over
+        the last two axes: ``spec.apply(stack)[i]`` is
+        ``spec.apply(stack[i])`` bit for bit."""
         rho = np.asarray(rho, dtype=complex)
-        return self.weight * self.replacement * np.trace(rho) \
-            + (1.0 - self.weight) * rho
+        tr = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+        return self.weight * self.replacement * tr + (1.0 - self.weight) * rho
 
     __call__ = apply
+    # Read by measures._bloch_affine: one call maps all four probe states.
+    _maps_stacks = True
 
 
 # ---------------------------------------------------------------------------

@@ -959,6 +959,37 @@ def test_dataset_from_json_accepts_an_integer_angle():
     assert dataset_from_json(json.dumps(payload)).records[4].theta_deg == 0.0
 
 
+@pytest.mark.parametrize("edit, message", [
+    # Unchecked, a misspelt "records" loaded as a dataset of 0 records.
+    (lambda p: {"config": p["config"], "recs": p["records"]},
+     r"^dataset\.recs: unknown field$"),
+    (lambda p: {**p, "comment": "x", "note": 1},
+     r"^dataset\.comment: unknown field$"),
+    # Unchecked, a record with a misspelt extra count loaded unchanged.
+    (lambda p: with_record_field(p, "n_pluss", 3),
+     r"^records\[4\]\.n_pluss: unknown field$"),
+    (lambda p: {**p, "records": [{"extra": 0, **p["records"][0]}]},
+     r"^records\[0\]\.extra: unknown field$"),
+], ids=["records-misspelt", "top-level-first", "record-field", "record-first"])
+def test_dataset_from_json_rejects_the_first_unknown_key(edit, message):
+    payload = edit(json.loads(dataset_to_json(simulate_dataset(shot_cfg))))
+    with pytest.raises(ValueError, match=message):
+        dataset_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("dataset", [
+    lambda: simulate_dataset(shot_cfg),
+    lambda: simulate_dataset(ExperimentConfig(setting=setting_for_gamma(0.7),
+                                              shots_per_basis=None)),
+    lambda: hand_built(Record(0.0, 1, "x", 5, 3, 0.5),
+                       Record(-0.0, 2, "z", 2.5, 0, 1e300)),
+    lambda: hand_built(),
+], ids=["shots", "exact", "hand-built", "empty"])
+def test_dataset_json_round_trips(dataset):
+    d = dataset()
+    assert dataset_from_json(dataset_to_json(d)) == d
+
+
 def test_config_rejects_repeated_angles():
     # Cells are keyed by angle, so a repeat would silently drop a state.
     with pytest.raises(ValueError, match=r"^thetas\[1\]: duplicate angle"):

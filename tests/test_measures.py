@@ -6,6 +6,7 @@ import pytest
 from oracles import bloch_to_density, maximize_over_pure_states
 from qtradeoff.instruments import (
     DiagonalFamilyParams,
+    Instrument,
     OptimalFamilyParams,
     Povm,
     apply_channel,
@@ -18,6 +19,7 @@ from qtradeoff.measures import (
     MeasureKind,
     UnknownKind,
     _PROBE_STATES,
+    _bloch_affine,
     diagonal_channel_disturbance_exact,
     disturbance,
     disturbance_estimate,
@@ -232,6 +234,94 @@ def test_channels_are_callables_on_states():
     for rho in states:
         assert np.array_equal(ins(rho), apply_channel(ins, rho))
         assert np.array_equal(spec(rho), spec.apply(rho))
+
+
+def _random_spec(rng):
+    # A random weight and a random replacement, mixed or pure.
+    r = rng.standard_normal(3)
+    r *= rng.uniform() ** (1.0 / 3.0) / np.linalg.norm(r)
+    return MarginalChannelSpec(rng.uniform(), bloch_to_density(r))
+
+
+def test_channels_map_stacks_of_states():
+    # ch(stack)[i] is ch(stack[i]) bit for bit, for any leading shape.
+    rng = np.random.default_rng(8)
+    stack = (rng.standard_normal((3, 5, 2, 2))
+             + 1j * rng.standard_normal((3, 5, 2, 2)))
+    for ch in (partial(apply_channel, _random_instrument(rng)),
+               _random_spec(rng).apply):
+        images = ch(stack)
+        assert images.shape == stack.shape
+        for i in np.ndindex(stack.shape[:2]):
+            assert images[i].tobytes() == ch(stack[i]).tobytes()
+
+
+def test_stacked_bloch_map_equals_the_per_probe_one():
+    # The package's channels map the probe stack in one call; a bare
+    # callable wrapping them maps it one probe at a time.  Both give the
+    # same (M, t), bit for bit.
+    rng = np.random.default_rng(30)
+    for _ in range(1000):
+        for channel in (_random_instrument(rng), _random_spec(rng)):
+            m, t = _bloch_affine(channel)
+            m_bare, t_bare = _bloch_affine(lambda rho: channel(rho))
+            assert m.tobytes() == m_bare.tobytes()
+            assert t.tobytes() == t_bare.tobytes()
+
+
+@pytest.mark.parametrize("cls, channel", [
+    (Instrument, _random_instrument(np.random.default_rng(4))),
+    (MarginalChannelSpec, MarginalChannelSpec(0.35, bloch_to_density(
+        [0.3, -0.4, 0.5])))])
+def test_package_channels_are_called_once_per_estimate(monkeypatch, cls,
+                                                        channel):
+    shapes = []
+    apply = cls.__call__
+
+    def spy(self, rho):
+        shapes.append(np.shape(rho))
+        return apply(self, rho)
+
+    monkeypatch.setattr(cls, "__call__", spy)
+    for kind in MeasureKind:
+        shapes.clear()
+        disturbance_estimate(channel, kind)
+        assert shapes == [(4, 2, 2)]
+
+
+def test_bare_callables_are_called_once_per_probe_state():
+    shapes = []
+    ins = _random_instrument(np.random.default_rng(4))
+
+    def bare(rho):
+        shapes.append(np.shape(rho))
+        return ins(rho)
+
+    for kind in MeasureKind:
+        shapes.clear()
+        disturbance_estimate(bare, kind)
+        assert shapes == [(2, 2)] * 4
+
+
+def test_bare_callable_for_one_matrix_keeps_its_bloch_map():
+    # np.trace(rho) of a stack would trace its first two axes, so this
+    # callable only works one 2x2 state at a time.
+    m, t = _bloch_affine(lambda rho: 0.5 * np.trace(rho) * np.eye(2))
+    assert np.array_equal(m, np.zeros((3, 3)))
+    assert np.array_equal(t, np.zeros(3))
+    assert disturbance(lambda rho: 0.5 * np.trace(rho) * np.eye(2)) == 0.5
+
+
+def test_probe_states_are_read_only():
+    # Every estimate shares the probe stack, so a callable that writes into
+    # its input must not change what later estimates read.
+    def scale_in_place(rho):
+        rho *= 2.0
+        return rho
+
+    with pytest.raises(ValueError, match="read-only"):
+        disturbance(scale_in_place)
+    assert np.array_equal(_PROBE_STATES[0], 0.5 * ID2)
 
 
 @pytest.mark.parametrize("channel", [
