@@ -1,5 +1,6 @@
 """Command-line interface: parameter sweeps, single-instrument evaluation,
-experiment simulation, and the verification suite.
+experiment simulation, and the verification suite.  ``sweep`` writes the
+rows of :func:`qtradeoff.schemes.sweep` as CSV.
 
 Exit codes: 0 success, 2 input error, 3 verification failure.  A config
 or descriptor field the command does not read, or a config whose
@@ -19,8 +20,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import schemes, verification
 from .experiment import (
     analytic_tradeoff_of_setting,
@@ -32,11 +31,7 @@ from .experiment import (
 )
 from .instruments import instrument_from_descriptor, povm_of
 from .measures import (
-    HS_TO_TRACE_NORM_SCALE,
-    MeasureKind,
-    disturbance_estimate,
-    measurement_error_estimate,
-)
+    MeasureKind, disturbance_estimate, measurement_error_estimate)
 
 log = logging.getLogger("qtradeoff")
 
@@ -51,26 +46,6 @@ def _fmt(x):
     if x is None:
         return ""
     return f"{x:.12g}"
-
-
-def _sweep_point(scheme, value, kind):
-    """Closed-form and computed (delta, Delta) of one sweep row.  The
-    closed-form Delta is None where the kind has no closed form
-    (diamond)."""
-    povm, channel, point = schemes.scheme_point(scheme, value)
-    base = point.Delta
-    if kind is MeasureKind.WORST_TRACE or kind is MeasureKind.WORST_INFIDELITY:
-        Delta_c = base
-    elif kind is MeasureKind.WORST_HS:
-        Delta_c = base / HS_TO_TRACE_NORM_SCALE
-    elif kind is MeasureKind.AVG_TRACE:
-        # Replacement channels disturb every pure state equally; diagonal
-        # channels scale with |sin theta|, whose surface average is pi/4.
-        Delta_c = base if scheme in ("cloner", "swap") else base * np.pi / 4.0
-    else:
-        Delta_c = None
-    return (point.delta, Delta_c, measurement_error_estimate(povm).value,
-            disturbance_estimate(channel, kind).value)
 
 
 def _read_json(path):
@@ -92,24 +67,20 @@ def cmd_sweep(args) -> int:
         log.error("sweep: --steps must be >= 2")
         return EXIT_INPUT
     kind = MeasureKind(args.kind)
-
-    top = 0.5 * np.pi if args.scheme == "swap" else 1.0
     try:
-        values = np.linspace(0.0, top, args.steps)
+        rows = schemes.sweep(args.scheme, args.steps, kind)
     except (ValueError, MemoryError) as exc:
         log.error("sweep: --steps %d is too large: %s", args.steps, exc)
         return EXIT_INPUT
     log.info("sweep scheme=%s steps=%d kind=%s", args.scheme, args.steps,
              kind.value)
 
-    rows = ["scheme,param,delta_closed,Delta_closed,delta_numeric,"
-            "Delta_numeric,kind"]
-    for v in values:
-        point = _sweep_point(args.scheme, float(v), kind)
-        rows.append(",".join([args.scheme, _fmt(float(v)),
-                              *map(_fmt, point), kind.value]))
+    lines = ["scheme,param,delta_closed,Delta_closed,delta_numeric,"
+             "Delta_numeric,kind"]
+    lines += [",".join([args.scheme, *map(_fmt, row), kind.value])
+              for row in rows]
     try:
-        Path(args.out).write_text("\n".join(rows) + "\n")
+        Path(args.out).write_text("\n".join(lines) + "\n")
     except OSError as exc:
         log.error("sweep: cannot write %s: %s", args.out, exc)
         return EXIT_INPUT

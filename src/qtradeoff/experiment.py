@@ -566,7 +566,8 @@ def _fit_target(thetas_deg, p1_hat):
 def _parabola_near_max(thetas, values, window_deg=25.0):
     """Least-squares parabola through the samples within ``window_deg`` of
     the largest: its vertex and the vertex value's gap to that sample;
-    None with fewer than 3 samples or collinear ones (|a| < 1e-12)."""
+    None with fewer than 3 samples, angles too close to fit (a fit of rank
+    below 3, as with 0 and 5e-324 degrees) or collinear ones (|a| < 1e-12)."""
     thetas = np.asarray(thetas)
     values = np.asarray(values)
     i_max = int(np.argmax(values))
@@ -574,8 +575,9 @@ def _parabola_near_max(thetas, values, window_deg=25.0):
         mask = np.abs(thetas - thetas[i_max]) <= window_deg
     if np.count_nonzero(mask) < 3:
         return None
-    a, b, c = np.polyfit(thetas[mask], values[mask], 2)
-    if abs(a) < 1e-12:
+    (a, b, c), _, rank, _, _ = np.polyfit(thetas[mask], values[mask], 2,
+                                          full=True)
+    if rank < 3 or abs(a) < 1e-12:
         return None
     vertex_value = float(c - b * b / (4.0 * a))
     sample_max = float(values[i_max])
@@ -752,7 +754,10 @@ def dataset_from_json(text: str) -> SimulatedDataset:
     angles JSON numbers among the config's, with no coercion (a bool is no
     number); anything else, a key the reader does not read included,
     raises ValueError naming the field."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"dataset: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError("dataset: expected a JSON object")
     _reject_unknown_fields(payload, ("config", "records"), "dataset")

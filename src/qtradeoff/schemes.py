@@ -26,7 +26,8 @@ optimal frontier (1/2)(sqrt(1-d) - sqrt(d))^2, cloner
 
 Each scheme's closed-form (delta, Delta) point is stated here once, the
 optimal and diagonal instrument families' included; :func:`scheme_point`
-gives the POVM, channel and closed-form point of one swept value.
+gives the POVM, channel and closed-form point of one swept value and
+:func:`sweep` the rows that ``qtradeoff sweep`` writes and ``verify`` checks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .instruments import (
     DiagonalFamilyParams, OptimalFamilyParams, Povm, make_diagonal_instrument,
     make_optimal_instrument, povm_of)
 from .measures import (
-    TARGET_POVM, TradeoffPoint, diagonal_channel_disturbance_exact)
+    HS_TO_TRACE_NORM_SCALE, TARGET_POVM, MeasureKind, TradeoffPoint,
+    diagonal_channel_disturbance_exact, disturbance, measurement_error)
 from .qmath import ID2
 from .states import MAXIMALLY_MIXED, validate_density
 
@@ -59,6 +61,7 @@ __all__ = [
     "swap_tradeoff_curve",
     "optimal_frontier",
     "scheme_point",
+    "sweep",
 ]
 
 _CONSTRAINT_TOL = 1e-10
@@ -250,3 +253,29 @@ def scheme_point(scheme, value):
         return (swap_induced_povm(p), swap_system_channel_spec(p),
                 swap_tradeoff_point(p))
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _sweep_row(scheme, value, kind):
+    povm, channel, point = scheme_point(scheme, value)
+    Delta = point.Delta
+    if kind == MeasureKind.WORST_HS:
+        Delta = Delta / HS_TO_TRACE_NORM_SCALE
+    elif kind == MeasureKind.AVG_TRACE and scheme in ("optimal", "diagonal"):
+        # Replacement channels disturb every pure state equally; diagonal
+        # channels scale with |sin theta|, whose surface average is pi/4.
+        Delta = Delta * np.pi / 4.0
+    elif kind == MeasureKind.DIAMOND:
+        Delta = None
+    return (value, point.delta, Delta, measurement_error(povm),
+            disturbance(channel, kind))
+
+
+def sweep(scheme, steps, kind=MeasureKind.WORST_TRACE):
+    """Rows (value, delta_closed, Delta_closed, delta, Delta) at ``steps``
+    even values of the scheme's parameter, in [0, pi/2] for the swap's t and
+    [0, 1] otherwise: the kind's closed-form point (Delta None for the
+    diamond kind, which has none), then the computed measures.  The grid is
+    built by the call, so numpy's error for a count too large comes from
+    it; each row is computed as it is read."""
+    values = np.linspace(0.0, 0.5 * np.pi if scheme == "swap" else 1.0, steps)
+    return (_sweep_row(scheme, float(v), kind) for v in values)

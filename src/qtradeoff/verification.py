@@ -7,9 +7,9 @@ Each check returns a :class:`CheckResult` with the worst observed
 deviation, so a caller can print one line per check.  The functions take
 their thresholds and, where meaningful, an injectable frontier function,
 which lets a test verify that a deliberately perturbed frontier is
-detected.  The scheme checks build their schemes with
-:func:`qtradeoff.schemes.scheme_point`; the axiom check samples from a
-seeded generator.
+detected.  The scheme checks reduce the rows of
+:func:`qtradeoff.schemes.sweep`, the rows ``qtradeoff sweep`` writes; the
+axiom check samples from a seeded generator.
 """
 
 from __future__ import annotations
@@ -69,12 +69,8 @@ def check_optimal_frontier(points=101, tol=1e-6,
     """Exact (delta, Delta) of the optimal family lies on the frontier."""
     _require_samples("points", points)
     frontier = frontier_fn or schemes.optimal_frontier
-    worst = 0.0
-    for gamma in np.linspace(0.0, 1.0, points):
-        povm, ins, _ = schemes.scheme_point("optimal", float(gamma))
-        d = measurement_error(povm)
-        dd = disturbance(ins, MeasureKind.WORST_TRACE)
-        worst = max(worst, abs(dd - frontier(min(d, 1.0))))
+    worst = max(abs(D - frontier(min(d, 1.0)))
+                for _, _, _, d, D in schemes.sweep("optimal", points))
     return CheckResult("frontier-optimal", worst < tol, worst, tol,
                        f"{points} instruments")
 
@@ -82,13 +78,10 @@ def check_optimal_frontier(points=101, tol=1e-6,
 def check_cloner_curve(points=101, tol=1e-6) -> CheckResult:
     """Cloner closed forms match the exact suprema on the induced pair."""
     _require_samples("points", points)
-    worst = 0.0
-    for a2 in np.linspace(0.0, 1.0, points):
-        povm, channel, pt = schemes.scheme_point("cloner", float(a2))
-        d_num = measurement_error(povm)
-        dd_num = disturbance(channel, MeasureKind.WORST_TRACE)
-        worst = max(worst, abs(d_num - pt.delta), abs(dd_num - pt.Delta),
-                    abs(dd_num - schemes.cloner_tradeoff_curve(min(d_num, 1.0))))
+    worst = max(
+        max(abs(d - dc), abs(D - Dc),
+            abs(D - schemes.cloner_tradeoff_curve(min(d, 1.0))))
+        for _, dc, Dc, d, D in schemes.sweep("cloner", points))
     return CheckResult("curve-cloner", worst < tol, worst, tol,
                        f"{points} parameter values")
 
@@ -96,16 +89,10 @@ def check_cloner_curve(points=101, tol=1e-6) -> CheckResult:
 def check_swap_line(points=101, tol=1e-6) -> CheckResult:
     """Swap closed forms match the exact suprema; delta + Delta = 1/2."""
     _require_samples("points", points)
-    worst = 0.0
-    closed_worst = 0.0
-    for t in np.linspace(0.0, 0.5 * np.pi, points):
-        povm, channel, pt = schemes.scheme_point("swap", float(t))
-        closed_worst = max(closed_worst, abs(pt.delta + pt.Delta - 0.5))
-        d_num = measurement_error(povm)
-        dd_num = disturbance(channel, MeasureKind.WORST_TRACE)
-        worst = max(worst, abs(d_num + dd_num - 0.5),
-                    abs(d_num - pt.delta), abs(dd_num - pt.Delta))
-    worst = max(worst, closed_worst)
+    rows = list(schemes.sweep("swap", points))
+    closed_worst = max(abs(dc + Dc - 0.5) for _, dc, Dc, _, _ in rows)
+    worst = max(closed_worst, *(max(abs(d + D - 0.5), abs(d - dc), abs(D - Dc))
+                                for _, dc, Dc, d, D in rows))
     return CheckResult("line-swap", worst < tol, worst, tol,
                        f"closed-form residual {closed_worst:.1e}")
 
@@ -118,9 +105,8 @@ def check_dominance(margin=1e-4, frontier_fn=None) -> CheckResult:
 
     # Tightness: the optimal family's closed-form points must sit on the
     # frontier essentially exactly.
-    points = (schemes.scheme_point("optimal", float(g))[2]
-              for g in np.linspace(0.0, 1.0, 101))
-    tight_worst = max(abs(pt.Delta - frontier(pt.delta)) for pt in points)
+    tight_worst = max(abs(Dc - frontier(dc))
+                      for _, dc, Dc, _, _ in schemes.sweep("optimal", 101))
     tight_ok = tight_worst < 1e-12
 
     grid = np.round(np.arange(0.01, 0.495, 0.01), 10)
@@ -171,9 +157,8 @@ def check_diamond_equality(points=11, tol=1e-4) -> CheckResult:
     optimal family, and so does its certified upper bound."""
     _require_samples("points", points)
     worst = 0.0
-    for gamma in np.linspace(0.0, 1.0, points):
-        ins = schemes.scheme_point("optimal", float(gamma))[1]
-        d_tr = disturbance(ins, MeasureKind.WORST_TRACE)
+    for gamma, _, _, _, d_tr in schemes.sweep("optimal", points):
+        ins = schemes.scheme_point("optimal", gamma)[1]
         est = disturbance_estimate(ins, MeasureKind.DIAMOND)
         if est.value < d_tr - 1e-12:
             worst = max(worst, tol + (d_tr - est.value))  # ordering violated

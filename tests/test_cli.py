@@ -5,8 +5,9 @@ import time
 import numpy as np
 import pytest
 
+from qtradeoff import schemes, verification
 from qtradeoff.cli import main
-from qtradeoff.measures import _quadrature
+from qtradeoff.measures import MeasureKind, _quadrature
 
 
 # Input files that neither command can use, with the start of the message
@@ -162,6 +163,49 @@ def test_sweep_rejects_bad_steps(tmp_path, capsys, caplog):
         assert code == 2
         assert f"--steps {steps}" in caplog.text
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_a_measure_error_in_a_sweep_is_no_steps_error(tmp_path, capsys,
+                                                      caplog, monkeypatch):
+    def failing(channel, kind):
+        raise ValueError("channel image of shape (3, 3)")
+
+    monkeypatch.setattr(schemes, "disturbance", failing)
+    with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+        main(["sweep", "--scheme", "optimal", "--steps", "3",
+              "--out", str(tmp_path / "x.csv")])
+    assert "--steps" not in caplog.text
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_and_verify_read_the_rows_of_schemes_sweep(tmp_path, capsys,
+                                                         monkeypatch):
+    calls = []
+
+    def spy(scheme, steps, kind=MeasureKind.WORST_TRACE):
+        calls.append((scheme, steps, kind))
+        # A row off every curve: delta 0.25 with Delta 0.5.
+        return iter([(0.5, 0.25, 0.125, 0.25, 0.5)] * steps)
+
+    monkeypatch.setattr(schemes, "sweep", spy)
+    out = tmp_path / "x.csv"
+    code, _ = run_cli(capsys, "sweep", "--scheme", "cloner", "--steps", "2",
+                      "--kind", "diamond", "--out", str(out))
+    assert code == 0
+    assert out.read_text().splitlines()[1:] == [
+        "cloner,0.5,0.25,0.125,0.25,0.5,diamond"] * 2
+    results = [verification.check_optimal_frontier(points=3),
+               verification.check_cloner_curve(points=3),
+               verification.check_swap_line(points=3),
+               verification.check_dominance(),
+               verification.check_diamond_equality(points=1)]
+    worst = MeasureKind.WORST_TRACE
+    assert calls == [("cloner", 2, MeasureKind.DIAMOND), ("optimal", 3, worst),
+                     ("cloner", 3, worst), ("swap", 3, worst),
+                     ("optimal", 101, worst), ("optimal", 1, worst)]
+    assert not any(r.passed for r in results)
+    assert results[2].worst == 0.375
+    assert results[2].detail == "closed-form residual 1.2e-01"
 
 
 @pytest.mark.parametrize("command", ["sweep", "eval"])

@@ -750,6 +750,12 @@ def test_parabola_needs_three_points_in_the_window(thetas, values):
     assert _parabola_near_max(thetas, values, window_deg=60.0) is not None
 
 
+def test_parabola_rejects_angles_too_close_to_fit():
+    # 0 and 5e-324 degrees leave the fit rank 2; np.polyfit without
+    # full=True warned RankWarning and gave a vertex at -5 degrees.
+    assert _parabola_near_max([0.0, 5e-324, 10.0], [0.1, 0.3, 0.2]) is None
+
+
 def test_estimator_bias_is_upward():
     # the max-over-states estimator cannot make the channel look closer
     # to the identity on average
@@ -935,6 +941,11 @@ def test_dataset_from_json_rejects_malformed_structure(edit, message):
     payload = edit(json.loads(dataset_to_json(simulate_dataset(shot_cfg))))
     with pytest.raises(ValueError, match=message):
         dataset_from_json(json.dumps(payload))
+
+
+def test_dataset_from_json_names_the_dataset_past_the_recursion_limit():
+    with pytest.raises(ValueError, match=r"^dataset: invalid JSON: "):
+        dataset_from_json("[" * 100_000 + "]" * 100_000)
 
 
 @pytest.mark.parametrize("name, value", [

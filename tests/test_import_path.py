@@ -109,11 +109,38 @@ print("ok")
 """
 
 
+# `-W error` alone lets some warnings through: importing numpy puts an
+# `always` filter for its RankWarning ahead of it.  So the child also
+# raises every warning that a filter lets through to be shown.
+STRICT = """
+import warnings
+def _raise(message, *_):
+    raise message
+warnings.showwarning = _raise
+"""
+
+
 def run_fresh(args, cwd):
+    """``python -W error -c CODE ...`` or ``-m MODULE ...`` in a fresh
+    interpreter that imports the package from this checkout and fails on
+    any warning, numpy's included."""
+    mode, target, *rest = args
+    if mode == "-m":
+        target = (f"import runpy; runpy.run_module({target!r}, "
+                  "run_name='__main__', alter_sys=True)")
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", STRICT + target, *rest],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300)
+
+
+def test_run_fresh_fails_on_numpys_own_warnings(tmp_path):
+    proc = run_fresh(["-c", "import numpy as np; "
+                      "np.polyfit([0.0, 5e-324, 10.0], [1.0, 2.0, 3.0], 2)"],
+                     tmp_path)
+    assert proc.returncode == 1
+    assert "RankWarning" in proc.stderr
 
 
 def test_no_cli_path_loads_scipy(tmp_path):
@@ -156,3 +183,17 @@ def test_python_m_qtradeoff_runs_the_cli(tmp_path):
     proc = run_fresh(["-m", "qtradeoff", "eval", "--instrument",
                       str(tmp_path / "missing.json")], tmp_path)
     assert proc.returncode == 2
+
+
+def test_experiment_on_angles_too_close_to_fit_warns_nothing(tmp_path):
+    # Two angles 5e-324 degrees apart leave the parabola fit rank 2.
+    (tmp_path / "close.json").write_text(json.dumps({
+        "alpha": 0.3, "phi": 0.5 * math.pi, "shots_per_basis": None,
+        "thetas": [0.0, 5e-324, 10.0]}))
+    proc = run_fresh(["-m", "qtradeoff", "experiment", "--config",
+                      "close.json", "--out", "out"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    diagnostics = json.loads(proc.stdout)["diagnostics"]
+    assert diagnostics["delta"]["parabola"] is None
+    assert diagnostics["Delta"]["parabola"] is None

@@ -12,6 +12,7 @@ from qtradeoff.instruments import (
     povm_of,
 )
 from qtradeoff.measures import (
+    HS_TO_TRACE_NORM_SCALE,
     TARGET_POVM,
     MeasureKind,
     disturbance,
@@ -34,6 +35,7 @@ from qtradeoff.schemes import (
     swap_system_channel_spec,
     swap_tradeoff_curve,
     swap_tradeoff_point,
+    sweep,
 )
 from qtradeoff.states import linear_pol_state
 
@@ -373,6 +375,35 @@ def test_scheme_point_pairs_the_closed_form_with_its_measures(scheme, value, poi
     assert pt == point(value)
     assert measurement_error(povm) == pytest.approx(pt.delta, abs=1e-12)
     assert disturbance(channel) == pytest.approx(pt.Delta, abs=1e-12)
+
+
+def bits(row):
+    return [None if x is None else np.float64(x).tobytes() for x in row]
+
+
+@pytest.mark.parametrize("kind", list(MeasureKind))
+@pytest.mark.parametrize("scheme", ["optimal", "diagonal", "cloner", "swap"])
+def test_sweep_rows_are_the_scheme_points_and_their_measures(scheme, kind):
+    # Bit for bit, beyond the 12 digits of the CSV.  The closed form of
+    # each kind: HS is the trace norm over sqrt(2); replacement channels
+    # disturb every pure state alike, diagonal ones as |sin theta|, whose
+    # surface average is pi/4; the diamond kind has none.
+    top = np.pi / 2.0 if scheme == "swap" else 1.0
+    rows = list(sweep(scheme, 11, kind))
+    assert len(rows) == 11
+    for row, value in zip(rows, np.linspace(0.0, top, 11)):
+        povm, channel, pt = scheme_point(scheme, float(value))
+        Delta = {
+            MeasureKind.WORST_TRACE: pt.Delta,
+            MeasureKind.WORST_INFIDELITY: pt.Delta,
+            MeasureKind.WORST_HS: pt.Delta / HS_TO_TRACE_NORM_SCALE,
+            MeasureKind.AVG_TRACE: (pt.Delta if scheme in ("cloner", "swap")
+                                    else pt.Delta * np.pi / 4.0),
+            MeasureKind.DIAMOND: None,
+        }[kind]
+        assert bits(row) == bits((value, pt.delta, Delta,
+                                  measurement_error(povm),
+                                  disturbance(channel, kind)))
 
 
 def test_scheme_point_rejects_unknown_scheme():
